@@ -380,7 +380,7 @@ def fit_linearized(eig: EigenDecomposition, x0) -> LinearizedSolution:
     if x0.shape != (3,):
         raise ValueError("initial perturbation must be a 3-vector")
     Vm = eig.eigenvectors
-    cond = np.linalg.cond(Vm)
+    cond = np.linalg.cond(Vm, 1)  # LU-based, the same LAPACK path as the solve below
     if not np.isfinite(cond) or cond > _MAX_EIGENVECTOR_COND:
         raise ConditioningError(
             f"eigenvector matrix condition number {cond:.3g} exceeds {_MAX_EIGENVECTOR_COND:.0e}"

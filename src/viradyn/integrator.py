@@ -21,7 +21,8 @@ import numpy as np
 
 from .errors import IntegrationBlowupError
 
-__all__ = ["MeshSpec", "Trajectory", "rk4_step", "integrate", "negative_components"]
+__all__ = ["MeshSpec", "Trajectory", "mesh_index", "rk4_step", "integrate",
+           "negative_components"]
 
 VectorField = Callable[[float, np.ndarray], np.ndarray]
 
@@ -29,6 +30,17 @@ VectorField = Callable[[float, np.ndarray], np.ndarray]
 DEFAULT_STEP = 0.1
 
 _REL_TOL = 1e-9  # mesh uniformity / divisibility tolerance
+
+
+def mesh_index(a: float, t: float, h: float) -> int | None:
+    """Index i of the mesh point a + i*h at ``t``, or None when t is off the mesh.
+
+    ``(t - a) / h`` must lie within 1e-9 of an integer, relative to that
+    integer, so only t == a itself maps to index 0.
+    """
+    n = (t - a) / h
+    i = round(n)
+    return i if abs(n - i) <= _REL_TOL * i else None
 
 
 @dataclass(frozen=True)
@@ -47,12 +59,11 @@ class MeshSpec:
             raise ValueError(f"mesh requires a < b, got [{self.a}, {self.b}]")
         if self.h <= 0.0:
             raise ValueError(f"mesh step must be positive, got {self.h!r}")
-        n = (self.b - self.a) / self.h
-        rounded = round(n)
-        if rounded < 1 or abs(n - rounded) > _REL_TOL * rounded:
+        n = mesh_index(self.a, self.b, self.h)
+        if n is None or n < 1:
             raise ValueError(
                 f"step h={self.h!r} does not divide [{self.a}, {self.b}] into an "
-                f"integral number of steps (got {n!r})"
+                f"integral number of steps (got {(self.b - self.a) / self.h!r})"
             )
 
     @property
@@ -105,7 +116,8 @@ def rk4_step(f: VectorField, t: float, w: np.ndarray, h: float) -> np.ndarray:
     Stage vectors are computed in order k1, k2, k3, k4 (every component
     of a stage is available before the next stage is evaluated) and the
     update is w + (k1 + 2*k2 + 2*k3 + k4)/6.  A non-finite stage raises
-    :class:`IntegrationBlowupError` carrying t and the stage number.
+    :class:`IntegrationBlowupError` carrying t and the stage number; a
+    non-finite update from finite stages is reported as stage k4.
     """
     if h <= 0.0:
         raise ValueError(f"step must be positive, got {h!r}")
@@ -121,7 +133,9 @@ def rk4_step(f: VectorField, t: float, w: np.ndarray, h: float) -> np.ndarray:
     _check_stage(k3, t, 3)
     k4 = h * np.asarray(f(t + h, w + k3), dtype=float)
     _check_stage(k4, t, 4)
-    return w + (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+    w_next = w + (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+    _check_stage(w_next, t, 4)
+    return w_next
 
 
 def _check_stage(k: np.ndarray, t: float, stage: int) -> None:

@@ -48,6 +48,7 @@ __all__ = [
     "effective_rates",
     "rhs",
     "rhs_array",
+    "rhs_at_rates",
     "vector_field",
 ]
 
@@ -202,15 +203,24 @@ def effective_rates(kind: ModelKind, params: ModelParams,
 
 def rhs_array(kind: ModelKind, params: ModelParams, schedule: EfficacySchedule,
               t: float, w) -> np.ndarray:
-    """Like :func:`rhs` but on a raw length-3 array; used by the integrator."""
+    """Like :func:`rhs` but on a raw length-3 array; :func:`vector_field` wraps it."""
     if not math.isfinite(t):
         raise ValueError(f"time must be finite, got {t!r}")
+    u1, u2 = schedule.efficacies_at(t)
+    return rhs_at_rates(params, *effective_rates(kind, params, u1, u2), w)
+
+
+def rhs_at_rates(params: ModelParams, beta_eff: float, k_eff: float, w) -> np.ndarray:
+    """The right-hand side with the infection and production rates given directly.
+
+    ``beta_eff`` and ``k_eff`` are what :func:`effective_rates` returns for
+    the efficacies in force; a non-finite state component raises
+    :class:`NonFiniteStateError`.
+    """
     T, T_star, V = float(w[0]), float(w[1]), float(w[2])
     for name, x in zip(_COMPONENTS, (T, T_star, V)):
         if not math.isfinite(x):
             raise NonFiniteStateError(name, x)
-    u1, u2 = schedule.efficacies_at(t)
-    beta_eff, k_eff = effective_rates(kind, params, u1, u2)
     infection = beta_eff * T * V
     return np.array([
         params.s - params.d * T - infection,

@@ -24,13 +24,14 @@ from .analysis import (
     jacobian,
 )
 from .errors import IntegrationBlowupError
-from .integrator import MeshSpec, Trajectory, integrate
+from .integrator import MeshSpec, Trajectory, mesh_index, rk4_step
 from .model import (
     EfficacySchedule,
     ModelKind,
     ModelParams,
     SystemState,
-    vector_field,
+    effective_rates,
+    rhs_at_rates,
 )
 
 __all__ = [
@@ -86,12 +87,19 @@ class ScenarioConfig:
                             ("V", self.initial.V)):
             if value < 0.0:
                 raise ValueError(f"initial {name} must be non-negative, got {value!r}")
+        a, b, h = self.mesh.a, self.mesh.b, self.mesh.h
         for seg in self.schedule.segments:
-            if seg.t_start < self.mesh.a or seg.t_end > self.mesh.b:
+            if seg.t_start < a or seg.t_end > b:
                 raise ValueError(
                     f"treatment window [{seg.t_start}, {seg.t_end}) falls outside "
-                    f"the mesh [{self.mesh.a}, {self.mesh.b}]"
+                    f"the mesh [{a}, {b}]"
                 )
+            for edge in (seg.t_start, seg.t_end):
+                if mesh_index(a, edge, h) is None:
+                    raise ValueError(
+                        f"treatment window edge {edge!r} is not a mesh point of "
+                        f"[{a}, {b}] with step h={h!r}"
+                    )
 
 
 @dataclass(frozen=True)
@@ -120,11 +128,14 @@ def compute_metrics(trajectory: Trajectory, schedule: EfficacySchedule) -> Metri
 
     i_peak = int(np.argmax(viral))
 
+    def row(t: float) -> int:  # window edges are mesh points: index, not compare
+        return min(max(round((t - times[0]) / h), 0), len(times))
+
     min_treat = min_treat_day = None
     if schedule.segments:
         mask = np.zeros(len(times), dtype=bool)
         for seg in schedule.segments:
-            mask |= (times >= seg.t_start) & (times < seg.t_end)
+            mask[row(seg.t_start):row(seg.t_end)] = True
         if mask.any():
             idx = np.flatnonzero(mask)
             i_min = idx[int(np.argmin(viral[idx]))]
@@ -136,13 +147,11 @@ def compute_metrics(trajectory: Trajectory, schedule: EfficacySchedule) -> Metri
 
     rebound = None
     if schedule.segments:
-        t_end = max(seg.t_end for seg in schedule.segments)
-        if t_end < times[-1]:
-            i_end = int(np.searchsorted(times, t_end, side="left"))
-            v_end = viral[i_end]
-            after = np.flatnonzero((times > t_end) & (viral >= 2.0 * v_end))
+        i_end = row(max(seg.t_end for seg in schedule.segments))
+        if i_end < len(times) - 1:
+            after = np.flatnonzero(viral[i_end + 1:] >= 2.0 * viral[i_end])
             if after.size:
-                rebound = float(times[after[0]])
+                rebound = float(times[i_end + 1 + after[0]])
 
     return MetricSet(
         final_state=SystemState.from_array(trajectory.states[-1]),
@@ -157,13 +166,74 @@ def compute_metrics(trajectory: Trajectory, schedule: EfficacySchedule) -> Metri
 
 def run(config: ScenarioConfig) -> ScenarioResult:
     """Integrate the configured model and attach metrics."""
-    f = vector_field(config.kind, config.params, config.schedule)
-    try:
-        trajectory = integrate(f, config.mesh, config.initial.as_array())
-    except IntegrationBlowupError as err:
-        raise IntegrationBlowupError(err.t, err.stage, step=err.step,
-                                     label=config.label or None) from None
+    trajectory = _integrate(config)
     return ScenarioResult(config, trajectory, compute_metrics(trajectory, config.schedule))
+
+
+def _integrate(config: ScenarioConfig) -> Trajectory:
+    """RK4 across the mesh with (beta_eff, k_eff) held constant over each step.
+
+    Each window covers the whole steps [i0, i1) between its edges, which
+    are mesh points, so a step never straddles a switch and the method
+    stays fourth order.  The step arithmetic is that of :func:`rk4_step`
+    on :func:`rhs_at_rates`, written out on floats.  Rows are checked for
+    finiteness once at the end; the first bad step is then replayed
+    through :func:`rk4_step`, which raises the labelled blowup error.
+    """
+    kind, params, mesh = config.kind, config.params, config.mesh
+    n, h = mesh.n_steps, mesh.h
+    off = effective_rates(kind, params, 0.0, 0.0)
+    runs, i = [], 0  # (first step, end step, (beta_eff, k_eff))
+    for seg in config.schedule.segments:
+        i0, i1 = mesh_index(mesh.a, seg.t_start, h), mesh_index(mesh.a, seg.t_end, h)
+        runs += [(i, i0, off), (i0, i1, effective_rates(kind, params, seg.u1, seg.u2))]
+        i = i1
+    runs.append((i, n, off))
+
+    s, d, m1, m2 = params.s, params.d, params.m1, params.m2
+    T, Ts, V = config.initial.as_array().tolist()
+    states = np.empty((n + 1, 3))
+    out = memoryview(states.reshape(-1))
+    out[0], out[1], out[2] = T, Ts, V
+    for i0, i1, (beta, k) in runs:
+        for j in range(3 * i0 + 3, 3 * i1 + 3, 3):
+            x = beta * T * V
+            k1T = h * (s - d * T - x)
+            k1Ts = h * (x - m2 * Ts)
+            k1V = h * (k * Ts - m1 * V)
+            T2, Ts2, V2 = T + 0.5 * k1T, Ts + 0.5 * k1Ts, V + 0.5 * k1V
+            x = beta * T2 * V2
+            k2T = h * (s - d * T2 - x)
+            k2Ts = h * (x - m2 * Ts2)
+            k2V = h * (k * Ts2 - m1 * V2)
+            T2, Ts2, V2 = T + 0.5 * k2T, Ts + 0.5 * k2Ts, V + 0.5 * k2V
+            x = beta * T2 * V2
+            k3T = h * (s - d * T2 - x)
+            k3Ts = h * (x - m2 * Ts2)
+            k3V = h * (k * Ts2 - m1 * V2)
+            T2, Ts2, V2 = T + k3T, Ts + k3Ts, V + k3V
+            x = beta * T2 * V2
+            k4T = h * (s - d * T2 - x)
+            k4Ts = h * (x - m2 * Ts2)
+            k4V = h * (k * Ts2 - m1 * V2)
+            T = T + (k1T + 2.0 * k2T + 2.0 * k3T + k4T) / 6.0
+            Ts = Ts + (k1Ts + 2.0 * k2Ts + 2.0 * k3Ts + k4Ts) / 6.0
+            V = V + (k1V + 2.0 * k2V + 2.0 * k3V + k4V) / 6.0
+            out[j], out[j + 1], out[j + 2] = T, Ts, V
+
+    times = mesh.times()
+    finite = np.isfinite(states).all(axis=1)
+    if not finite.all():
+        j = int(np.argmin(finite)) - 1
+        beta, k = next(rates for i0, i1, rates in runs if i0 <= j < i1)
+        try:
+            rk4_step(lambda t, w: rhs_at_rates(params, beta, k, w), float(times[j]),
+                     states[j], h)
+        except IntegrationBlowupError as err:
+            raise IntegrationBlowupError(err.t, err.stage, step=j,
+                                         label=config.label or None) from None
+        raise RuntimeError(f"step {j} is finite in rk4_step but not in the kernel")
+    return Trajectory(times=times, states=states)
 
 
 def run_matrix(base: ScenarioConfig,
