@@ -27,7 +27,6 @@ nonzero component equals 1.
 
 from __future__ import annotations
 
-import cmath
 import enum
 import math
 from dataclasses import dataclass
@@ -108,13 +107,6 @@ class LinearizedSolution:
     eigenvalues: np.ndarray   # (3,) complex
     eigenvectors: np.ndarray  # (3, 3) complex columns
     coefficients: np.ndarray  # (3,) complex
-
-    @property
-    def modes(self) -> list[tuple[complex, np.ndarray, complex]]:
-        return [
-            (complex(self.eigenvalues[i]), self.eigenvectors[:, i], complex(self.coefficients[i]))
-            for i in range(3)
-        ]
 
 
 def equilibria(params: ModelParams, u1: float, u2: float,
@@ -389,7 +381,12 @@ def fit_linearized(eig: EigenDecomposition, x0) -> LinearizedSolution:
     return LinearizedSolution(eig.eigenvalues.copy(), Vm.copy(), coeff)
 
 
-def evaluate_linearized(sol: LinearizedSolution, t: float) -> np.ndarray:
-    """Real part of sum_i c_i * V_i * exp(lambda_i * t) at time t."""
-    weights = sol.coefficients * np.array([cmath.exp(lam * t) for lam in sol.eigenvalues])
-    return np.real(sol.eigenvectors @ weights)
+def evaluate_linearized(sol: LinearizedSolution, t) -> np.ndarray:
+    """Real part of sum_i c_i * V_i * exp(lambda_i * t).
+
+    A scalar t gives shape (3,); an array of times gives one row per time.
+    """
+    weights = sol.coefficients * np.exp(np.multiply.outer(np.asarray(t, dtype=float),
+                                                          sol.eigenvalues))
+    # multiply-and-sum, not a complex (n,3) @ (3,3) matmul: that maps more BLAS code (peak RSS)
+    return np.real((weights[..., None, :] * sol.eigenvectors).sum(axis=-1))

@@ -11,14 +11,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .analysis import classify, eigen3, equilibria, jacobian
 from .errors import NumericalError
-from .integrator import MeshSpec
+from .integrator import DEFAULT_STEP, MeshSpec
 from .model import (
     EfficacySchedule,
     ModelKind,
@@ -31,6 +31,7 @@ from .scenario import (
     ScenarioConfig,
     ScenarioResult,
     compare_linearization,
+    infected_equilibrium,
     reference_scenarios,
     run,
 )
@@ -39,7 +40,13 @@ __all__ = ["CliConfig", "UsageError", "parse_args", "emit_trajectory",
            "emit_analysis", "main"]
 
 _PARAM_NAMES = ("s", "d", "beta", "k", "m1", "m2")
-_DEFAULT_MESH = (0.0, 400.0, 0.1)
+_DEFAULT_MESH = {"a": 0.0, "b": 400.0, "h": DEFAULT_STEP}
+# the JSON scenario file: the keys of each object section, the keys of each
+# window in the "schedule" list, and the top-level keys
+_CONFIG_SECTIONS = {"params": _PARAM_NAMES, "mesh": ("a", "b", "h"),
+                    "initial": ("T", "T_star", "V")}
+_WINDOW_KEYS = ("t_start", "t_end", "u1", "u2")
+_CONFIG_KEYS = ("kind", *_CONFIG_SECTIONS, "schedule", "label")
 _METRIC_KEYS = (
     "final_T", "final_Tstar", "final_V",
     "peak_viral_load", "peak_viral_load_day",
@@ -135,15 +142,30 @@ def _treat_arg(text: str) -> tuple[float, float, float, float | None]:
     parts = text.split(":")
     if len(parts) not in (3, 4):
         raise argparse.ArgumentTypeError(f"expected start:end:u1[:u2], got {text!r}")
-    values = [_float_arg(p) for p in parts]
-    start, end, u1 = values[:3]
-    u2 = values[3] if len(values) == 4 else None
-    if not start < end:
-        raise argparse.ArgumentTypeError(f"window start must precede end in {text!r}")
-    for u in (u1,) if u2 is None else (u1, u2):
-        if not 0.0 <= u <= 1.0:
-            raise argparse.ArgumentTypeError(f"efficacy must lie in [0, 1] in {text!r}")
-    return start, end, u1, u2
+    start, end, u1, *rest = (_float_arg(p) for p in parts)
+    window = (start, end, u1, rest[0] if rest else None)
+    try:
+        _bind_window(window)  # TreatmentWindow checks the order and the efficacies
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(f"{err} in {text!r}") from None
+    return window
+
+
+def _bind_window(window: tuple[float, float, float, float | None],
+                 kind: ModelKind = ModelKind.BASIC) -> TreatmentWindow:
+    """The window of a --treat spec; a single efficacy is u2 for combined, else u1."""
+    start, end, u1, u2 = window
+    if u2 is None:
+        if kind is ModelKind.COMBINED:
+            u1, u2 = 0.0, u1
+        else:
+            u1, u2 = u1, 0.0
+    elif kind is ModelKind.COMBINED and u1 != 0.0:
+        raise UsageError(
+            "--treat: the combined model has a single efficacy; give one value "
+            "or set u1 to 0"
+        )
+    return TreatmentWindow(start, end, u1, u2)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -183,13 +205,10 @@ def parse_args(argv: list[str]) -> CliConfig:
     """Parse flags into a CliConfig, raising UsageError on bad input."""
     ns = _build_parser().parse_args(argv)
     treat = tuple(ns.treat)
-    ordered = sorted(treat, key=lambda w: w[0])
-    for prev, nxt in zip(ordered, ordered[1:]):
-        if nxt[0] < prev[1]:
-            raise UsageError(
-                f"--treat: overlapping windows [{prev[0]:g}, {prev[1]:g}) and "
-                f"[{nxt[0]:g}, {nxt[1]:g})"
-            )
+    try:
+        EfficacySchedule(tuple(_bind_window(w) for w in treat))
+    except ValueError as err:
+        raise UsageError(f"--treat: {err}") from None
     return CliConfig(
         command=ns.command,
         config_path=ns.config,
@@ -208,94 +227,65 @@ def parse_args(argv: list[str]) -> CliConfig:
 # configuration resolution: defaults <- JSON file <- flags
 
 
+def _section(value, name: str, keys: tuple[str, ...]) -> dict:
+    """``value`` itself, once it is a JSON object holding only ``keys``."""
+    if not isinstance(value, dict):
+        raise UsageError(f"--config: {name} must be a JSON object")
+    unknown = set(value) - set(keys)
+    if unknown:
+        raise UsageError(f"--config: unknown keys {sorted(unknown)} in {name}")
+    return value
+
+
+def _floats(value, name: str, keys: tuple[str, ...]) -> dict[str, float]:
+    return {key: float(x) for key, x in _section(value, name, keys).items()}
+
+
 def _load_config_file(path: Path) -> dict:
+    """The file's layer: the values it sets, keyed as in the file."""
     try:
-        raw = json.loads(path.read_text())
+        raw = _section(json.loads(path.read_text()), str(path), _CONFIG_KEYS)
     except OSError as err:
         raise UsageError(f"--config: cannot read {path}: {err.strerror}") from None
     except json.JSONDecodeError as err:
         raise UsageError(f"--config: invalid JSON in {path}: {err}") from None
-    if not isinstance(raw, dict):
-        raise UsageError(f"--config: {path} must hold a JSON object")
-    known = {"kind", "params", "mesh", "initial", "schedule", "label"}
-    unknown = set(raw) - known
-    if unknown:
-        raise UsageError(f"--config: unknown keys {sorted(unknown)} in {path}")
-    return raw
-
-
-def _bind_window(window: tuple[float, float, float, float | None],
-                 kind: ModelKind) -> TreatmentWindow:
-    start, end, u1, u2 = window
-    if u2 is None:
-        if kind is ModelKind.COMBINED:
-            u1, u2 = 0.0, u1
-        else:
-            u1, u2 = u1, 0.0
-    elif kind is ModelKind.COMBINED and u1 != 0.0:
-        raise UsageError(
-            "--treat: the combined model has a single efficacy; give one value "
-            "or set u1 to 0"
-        )
-    return TreatmentWindow(start, end, u1, u2)
+    try:
+        layer = {name: _floats(raw[name], name, keys)
+                 for name, keys in _CONFIG_SECTIONS.items() if name in raw}
+        if "initial" in layer:
+            layer["initial"] = SystemState(**layer["initial"])
+        if "kind" in raw:
+            layer["kind"] = _model_arg(str(raw["kind"]))
+        if "label" in raw:
+            layer["label"] = str(raw["label"])
+        schedule = raw.get("schedule", [])
+        if not isinstance(schedule, list):
+            raise UsageError("--config: schedule must be a JSON list")
+        layer["schedule"] = [TreatmentWindow(**_floats(w, f"schedule[{i}]", _WINDOW_KEYS))
+                             for i, w in enumerate(schedule)]
+    except UsageError:
+        raise
+    except argparse.ArgumentTypeError as err:
+        raise UsageError(f"--config: {err}") from None
+    except (TypeError, ValueError) as err:
+        raise UsageError(f"--config: malformed value in {path}: {err}") from None
+    return layer
 
 
 def resolve_scenario(cli: CliConfig) -> ScenarioConfig:
     """Merge defaults, the optional JSON file, and inline flags."""
-    kind = ModelKind.BASIC
-    params_fields = {name: getattr(ModelParams(), name) for name in _PARAM_NAMES}
-    a, b, h = _DEFAULT_MESH
-    initial = DEFAULT_INITIAL
-    windows: list[TreatmentWindow] = []
-    label = "cli"
-
-    if cli.config_path is not None:
-        raw = _load_config_file(cli.config_path)
-        try:
-            if "kind" in raw:
-                kind = _model_arg(str(raw["kind"]))
-            for name, value in raw.get("params", {}).items():
-                if name not in _PARAM_NAMES:
-                    raise UsageError(f"--config: unknown parameter {name!r}")
-                params_fields[name] = float(value)
-            mesh_raw = raw.get("mesh", {})
-            a = float(mesh_raw.get("a", a))
-            b = float(mesh_raw.get("b", b))
-            h = float(mesh_raw.get("h", h))
-            if "initial" in raw:
-                ini = raw["initial"]
-                initial = SystemState(float(ini["T"]), float(ini["T_star"]),
-                                      float(ini["V"]))
-            for seg in raw.get("schedule", []):
-                windows.append(TreatmentWindow(float(seg["t_start"]), float(seg["t_end"]),
-                                               float(seg["u1"]), float(seg["u2"])))
-            label = str(raw.get("label", label))
-        except argparse.ArgumentTypeError as err:
-            raise UsageError(f"--config: {err}") from None
-        except (KeyError, TypeError, ValueError) as err:
-            if isinstance(err, UsageError):
-                raise
-            raise UsageError(f"--config: malformed value in {cli.config_path}: {err}") from None
-
-    if cli.model is not None:
-        kind = cli.model
-    for name, value in cli.param_overrides:
-        params_fields[name] = value
-    if cli.t0 is not None:
-        a = cli.t0
-    if cli.t1 is not None:
-        b = cli.t1
-    if cli.h is not None:
-        h = cli.h
-    if cli.init is not None:
-        initial = SystemState(*cli.init)
-    if cli.treat:
-        windows = [_bind_window(w, kind) for w in cli.treat]
-
-    params = ModelParams(**params_fields)
-    mesh = MeshSpec(a, b, h)
-    schedule = EfficacySchedule(tuple(windows))
-    return ScenarioConfig(kind, params, mesh, initial, schedule, label=label)
+    file = {} if cli.config_path is None else _load_config_file(cli.config_path)
+    kind = cli.model or file.get("kind", ModelKind.BASIC)
+    flag_mesh = {"a": cli.t0, "b": cli.t1, "h": cli.h}
+    params = {**asdict(ModelParams()), **file.get("params", {}), **dict(cli.param_overrides)}
+    mesh = {**_DEFAULT_MESH, **file.get("mesh", {}),
+            **{key: x for key, x in flag_mesh.items() if x is not None}}
+    initial = (SystemState(*cli.init) if cli.init is not None
+               else file.get("initial", DEFAULT_INITIAL))
+    windows = ([_bind_window(w, kind) for w in cli.treat] if cli.treat
+               else file.get("schedule", []))
+    return ScenarioConfig(kind, ModelParams(**params), MeshSpec(**mesh), initial,
+                          EfficacySchedule(tuple(windows)), label=file.get("label", "cli"))
 
 
 # ---------------------------------------------------------------------------
@@ -313,21 +303,29 @@ def _fmt_complex(z: complex, digits: int = 6) -> str:
     return f"{_fmt(z.real, digits)}{sign}{_fmt(abs(z.imag), digits)}i"
 
 
-def _metrics_lines(result: ScenarioResult) -> list[str]:
+def _metric_values(result: ScenarioResult) -> list[str]:
+    """The metrics in ``_METRIC_KEYS`` order, formatted; ``none`` where undefined."""
     m = result.metrics
-    values = {
-        "final_T": m.final_state.T,
-        "final_Tstar": m.final_state.T_star,
-        "final_V": m.final_state.V,
-        "peak_viral_load": m.peak_viral_load,
-        "peak_viral_load_day": m.peak_viral_load_day,
-        "min_viral_load_during_treatment": m.min_viral_load_during_treatment,
-        "min_viral_load_during_treatment_day": m.min_viral_load_during_treatment_day,
-        "suppression_days": m.suppression_days,
-        "rebound_day": m.rebound_day,
-    }
-    return [f"{key}={'none' if values[key] is None else _fmt(values[key])}"
-            for key in _METRIC_KEYS]
+    values = (m.final_state.T, m.final_state.T_star, m.final_state.V,
+              m.peak_viral_load, m.peak_viral_load_day,
+              m.min_viral_load_during_treatment, m.min_viral_load_during_treatment_day,
+              m.suppression_days, m.rebound_day)
+    return ["none" if x is None else _fmt(x) for x in values]
+
+
+def _write_lines(path: Path, lines) -> Path:
+    """Write each line LF-terminated; every file the CLI produces goes through here."""
+    path = Path(path)
+    with open(path, "w", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+    return path
+
+
+def _write_csv(path: Path, times: np.ndarray, states: np.ndarray) -> Path:
+    """The ``t,T,Tstar,V`` CSV: one row per time, 9 significant digits."""
+    rows = (",".join(_fmt(x) for x in (t, row[0], row[1], row[2]))
+            for t, row in zip(times, states))
+    return _write_lines(path, ["t,T,Tstar,V", *rows])
 
 
 def metrics_path_for(csv_path: Path) -> Path:
@@ -336,14 +334,9 @@ def metrics_path_for(csv_path: Path) -> Path:
 
 def emit_trajectory(result: ScenarioResult, path: Path) -> Path:
     """Write the trajectory CSV plus its sibling key=value metrics file."""
-    path = Path(path)
-    lines = ["t,T,Tstar,V"]
-    for t, row in zip(result.trajectory.times, result.trajectory.states):
-        lines.append(",".join(_fmt(x) for x in (t, row[0], row[1], row[2])))
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    with open(metrics_path_for(path), "w", newline="\n") as fh:
-        fh.write("\n".join(_metrics_lines(result)) + "\n")
+    path = _write_csv(path, result.trajectory.times, result.trajectory.states)
+    _write_lines(metrics_path_for(path),
+                 [f"{key}={value}" for key, value in zip(_METRIC_KEYS, _metric_values(result))])
     return path
 
 
@@ -384,10 +377,7 @@ def render_analysis(params: ModelParams, kind: ModelKind,
 
 def emit_analysis(params: ModelParams, kind: ModelKind,
                   efficacies: tuple[float, float], path: Path) -> Path:
-    path = Path(path)
-    with open(path, "w", newline="\n") as fh:
-        fh.write(render_analysis(params, kind, efficacies))
-    return path
+    return _write_lines(path, render_analysis(params, kind, efficacies).splitlines())
 
 
 # ---------------------------------------------------------------------------
@@ -397,8 +387,7 @@ def emit_analysis(params: ModelParams, kind: ModelKind,
 def _cmd_simulate(cli: CliConfig) -> int:
     config = resolve_scenario(cli)
     result = run(config)
-    out = cli.out or Path("trajectory.csv")
-    emit_trajectory(result, out)
+    out = emit_trajectory(result, cli.out or Path("trajectory.csv"))
     final = result.metrics.final_state
     print(f"wrote {out} and {metrics_path_for(out)}")
     print(f"final state: T={_fmt(final.T)} Tstar={_fmt(final.T_star)} V={_fmt(final.V)}")
@@ -407,16 +396,10 @@ def _cmd_simulate(cli: CliConfig) -> int:
 
 def _cmd_analyze(cli: CliConfig) -> int:
     config = resolve_scenario(cli)
-    if config.schedule.segments:
-        seg = config.schedule.segments[0]
-        efficacies = (seg.u1, seg.u2)
-    else:
-        efficacies = (0.0, 0.0)
-    text = render_analysis(config.params, config.kind, efficacies)
-    out = cli.out or Path("analysis.txt")
-    with open(out, "w", newline="\n") as fh:
-        fh.write(text)
-    sys.stdout.write(text)
+    segments = config.schedule.segments
+    efficacies = (segments[0].u1, segments[0].u2) if segments else (0.0, 0.0)
+    out = emit_analysis(config.params, config.kind, efficacies, cli.out or Path("analysis.txt"))
+    sys.stdout.write(out.read_text())
     print(f"wrote {out}")
     return 0
 
@@ -426,33 +409,19 @@ def _cmd_linearize(cli: CliConfig) -> int:
     if config.kind is not ModelKind.BASIC:
         raise UsageError("--model: linearize works on the basic model")
     if cli.init is not None:
-        from .analysis import EquilibriumKind
-        infected = [eq for eq in equilibria(config.params, 0.0, 0.0, config.kind)
-                    if eq.kind is EquilibriumKind.INFECTED]
-        if not infected:
-            raise UsageError("no infected equilibrium exists for these parameters")
-        perturbation = np.asarray(cli.init) - infected[0].point.as_array()
+        perturbation = np.asarray(cli.init) - infected_equilibrium(config.params).as_array()
     else:
         perturbation = np.array([1.0, 0.1, 5.0])
 
     comparison = compare_linearization(config, perturbation)
-    out = cli.out or Path("linearized.csv")
-    lines = ["t,T,Tstar,V"]
-    for t, row in zip(comparison.times, comparison.linearized):
-        lines.append(",".join(_fmt(x) for x in (t, row[0], row[1], row[2])))
-    with open(out, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-    report_path = Path(out).with_suffix(".report.txt")
-    report = [
+    out = _write_csv(cli.out or Path("linearized.csv"), comparison.times, comparison.linearized)
+    report_path = _write_lines(out.with_suffix(".report.txt"), [
         f"perturbation={','.join(_fmt(x) for x in comparison.perturbation)}",
         f"max_discrepancy_T={_fmt(comparison.component_max[0])}",
         f"max_discrepancy_Tstar={_fmt(comparison.component_max[1])}",
         f"max_discrepancy_V={_fmt(comparison.component_max[2])}",
         f"max_discrepancy={_fmt(comparison.max_discrepancy)}",
-    ]
-    with open(report_path, "w", newline="\n") as fh:
-        fh.write("\n".join(report) + "\n")
+    ])
     print(f"wrote {out} and {report_path}")
     print(f"max discrepancy vs nonlinear flow: {_fmt(comparison.max_discrepancy)}")
     return 0
@@ -462,17 +431,15 @@ def _cmd_reproduce(cli: CliConfig) -> int:
     config = resolve_scenario(cli)  # only the parameter overrides matter here
     out_dir = cli.out or Path("reproduction")
     out_dir.mkdir(parents=True, exist_ok=True)
-    h = cli.h if cli.h is not None else 0.1
+    h = DEFAULT_STEP if cli.h is None else cli.h
     summary = ["label," + ",".join(_METRIC_KEYS)]
     for scenario in reference_scenarios(config.params, h=h):
         result = run(scenario)
         emit_trajectory(result, out_dir / f"{scenario.label}.csv")
-        values = [line.split("=", 1)[1] for line in _metrics_lines(result)]
-        summary.append(",".join([scenario.label] + values))
+        summary.append(",".join([scenario.label, *_metric_values(result)]))
         print(f"ran {scenario.label}")
-    with open(out_dir / "summary.csv", "w", newline="\n") as fh:
-        fh.write("\n".join(summary) + "\n")
-    print(f"wrote {out_dir / 'summary.csv'}")
+    summary_path = _write_lines(out_dir / "summary.csv", summary)
+    print(f"wrote {summary_path}")
     return 0
 
 

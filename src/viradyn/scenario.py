@@ -24,7 +24,7 @@ from .analysis import (
     jacobian,
 )
 from .errors import IntegrationBlowupError
-from .integrator import MeshSpec, Trajectory, mesh_index, rk4_step
+from .integrator import DEFAULT_STEP, MeshSpec, Trajectory, mesh_index, rk4_step
 from .model import (
     EfficacySchedule,
     ModelKind,
@@ -44,6 +44,7 @@ __all__ = [
     "run",
     "run_matrix",
     "compare_linearization",
+    "infected_equilibrium",
     "reference_scenarios",
     "DEFAULT_INITIAL",
     "SURVEY_INITIALS",
@@ -268,6 +269,14 @@ class LinearizationComparison:
         return float(np.max(self.component_max))
 
 
+def infected_equilibrium(params: ModelParams) -> SystemState:
+    """The untreated basic model's infected equilibrium; ValueError if it does not exist."""
+    for eq in equilibria(params, 0.0, 0.0, ModelKind.BASIC):
+        if eq.kind is EquilibriumKind.INFECTED:
+            return eq.point
+    raise ValueError("no infected equilibrium exists for these parameters")
+
+
 def compare_linearization(config: ScenarioConfig, perturbation) -> LinearizationComparison:
     """Run the nonlinear model and its linearization from equilibrium + perturbation.
 
@@ -284,11 +293,7 @@ def compare_linearization(config: ScenarioConfig, perturbation) -> Linearization
     if np.any(np.abs(perturbation) > 10.0):
         raise ValueError("perturbation components must not exceed 10 in magnitude")
 
-    infected = [eq for eq in equilibria(config.params, 0.0, 0.0, config.kind)
-                if eq.kind is EquilibriumKind.INFECTED]
-    if not infected:
-        raise ValueError("no infected equilibrium exists for these parameters")
-    eq_point = infected[0].point
+    eq_point = infected_equilibrium(config.params)
     eq = eq_point.as_array()
 
     nonlinear_cfg = replace(config, initial=SystemState.from_array(eq + perturbation),
@@ -297,8 +302,7 @@ def compare_linearization(config: ScenarioConfig, perturbation) -> Linearization
 
     sol = fit_linearized(eigen3(jacobian(config.params, 0.0, 0.0, config.kind, eq_point)),
                          perturbation)
-    tau = trajectory.times - trajectory.times[0]
-    linearized = eq + np.array([evaluate_linearized(sol, t) for t in tau])
+    linearized = eq + evaluate_linearized(sol, trajectory.times - trajectory.times[0])
 
     diff = np.abs(trajectory.states - linearized)
     return LinearizationComparison(
@@ -311,7 +315,7 @@ def compare_linearization(config: ScenarioConfig, perturbation) -> Linearization
 
 
 def reference_scenarios(params: ModelParams | None = None,
-                        h: float = 0.1) -> list[ScenarioConfig]:
+                        h: float = DEFAULT_STEP) -> list[ScenarioConfig]:
     """The built-in suite behind the ``reproduce`` command.
 
     Untreated runs from four initial states over [0, 400]; dosage

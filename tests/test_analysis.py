@@ -355,3 +355,21 @@ def test_near_parallel_eigenvectors_raise_conditioning_error():
     dec = EigenDecomposition(np.array([1.0, 2.0, 3.0], dtype=complex), vectors)
     with pytest.raises(ConditioningError):
         fit_linearized(dec, np.array([1.0, 0.0, 0.0]))
+
+
+def test_array_of_times_gives_one_row_per_time():
+    sol = fit_linearized(_paper_system_decomposition(), np.array([1.0, 0.1, 5.0]))
+    ts = np.linspace(0.0, 40.0, 401)
+    rows = evaluate_linearized(sol, ts)
+    stacked = np.array([evaluate_linearized(sol, t) for t in ts])
+    assert rows.shape == (401, 3)
+    assert np.all(np.abs(rows - stacked) <= 1e-12 * np.abs(stacked))
+    modal = np.array([(sol.eigenvectors @ (sol.coefficients * np.array(
+        [cmath.exp(lam * t) for lam in sol.eigenvalues]))).real for t in ts])
+    assert np.max(np.abs(rows - modal)) <= 1e-12 * np.max(np.abs(modal))
+
+
+def test_scalar_time_gives_one_state():
+    sol = fit_linearized(_paper_system_decomposition(), np.array([1.0, 0.1, 5.0]))
+    assert evaluate_linearized(sol, 2.5).shape == (3,)
+    assert evaluate_linearized(sol, np.float64(2.5)).shape == (3,)

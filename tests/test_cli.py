@@ -311,3 +311,38 @@ def test_reproduce_writes_summary_and_per_scenario_files(tmp_path):
     assert len(summary) == 15  # 14 scenarios + header
     assert (out_dir / "basic-T0-1200.csv").exists()
     assert (out_dir / "combined-u0.7.metrics.txt").exists()
+
+
+# --- JSON schema: every section is an object with known keys only ---------------
+
+def _run_config(tmp_path, doc):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    return main(["simulate", f"--config={path}", f"--out={tmp_path / 't.csv'}"])
+
+
+@pytest.mark.parametrize("section, doc", [
+    ("params", {"params": [1, 2]}),
+    ("mesh", {"mesh": "abc"}),
+    ("mesh", {"mesh": 5}),
+    ("initial", {"initial": None}),
+    ("schedule", {"schedule": {"t_start": 150.0}}),
+    ("schedule[0]", {"schedule": [7]}),
+])
+def test_config_section_of_the_wrong_json_type_exits_two(tmp_path, capsys, section, doc):
+    assert _run_config(tmp_path, doc) == 2
+    assert f"--config: {section} must be a JSON " in capsys.readouterr().err
+    assert list(tmp_path.glob("*.csv")) == []
+
+
+@pytest.mark.parametrize("doc, key", [
+    ({"mesh": {"a": 0, "t1": 600, "h": 0.1}}, "t1"),
+    ({"initial": {"T": 1000.0, "Tstar": 1.0, "V": 50.0}}, "Tstar"),
+    ({"schedule": [{"t_start": 150.0, "t_end": 400.0, "u1": 0.5, "u2": 0.5, "u3": 0.1}]},
+     "u3"),
+], ids=["mesh", "initial", "schedule"])
+def test_unknown_key_inside_a_config_section_exits_two(tmp_path, capsys, doc, key):
+    assert _run_config(tmp_path, doc) == 2
+    err = capsys.readouterr().err
+    assert "--config" in err and repr(key) in err
+    assert list(tmp_path.glob("*.csv")) == []
