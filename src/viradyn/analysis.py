@@ -22,7 +22,7 @@ Eigenvalues are found as roots of the cubic characteristic polynomial
 (trigonometric form for three real roots, Cardano otherwise, then a
 Newton polish) and eigenvectors by null-space extraction from
 A - lambda*I with partial pivoting.  Eigenvectors are scaled so the last
-nonzero component equals 1.
+nonzero component is exactly 1.
 """
 
 from __future__ import annotations
@@ -248,26 +248,15 @@ def _null_space(B: np.ndarray, count: int, tol: float) -> list[np.ndarray]:
     return basis
 
 
-def _normalize_last_nonzero(v: np.ndarray) -> np.ndarray:
-    amax = float(np.max(np.abs(v)))
-    idx = None
-    for j in range(len(v) - 1, -1, -1):
-        if abs(v[j]) > 1e-10 * amax:
-            idx = j
-            break
-    if idx is None:  # unreachable: null-space vectors carry a unit entry
-        raise DefectiveMatrixError("zero eigenvector")
-    return v / v[idx]
-
-
 def eigen3(A: np.ndarray) -> EigenDecomposition:
     """Eigenvalues and eigenvectors of a real 3x3 matrix.
 
-    Eigenvalues are sorted by descending real part (ties by descending
-    imaginary part), which keeps conjugate pairs adjacent, and each
-    eigenvector is scaled so its last nonzero component is 1.  A repeated
-    eigenvalue with a rank-deficient eigenspace raises
-    :class:`DefectiveMatrixError` instead of returning invalid vectors.
+    Eigenvalues are sorted by descending real part; on a tie a conjugate
+    pair comes before a real eigenvalue, the positive imaginary part
+    first, so pairs are always adjacent.  Each eigenvector is scaled so
+    its last nonzero component is exactly 1.  A repeated eigenvalue with
+    a rank-deficient eigenspace raises :class:`DefectiveMatrixError`
+    instead of returning invalid vectors.
     """
     A = np.asarray(A, dtype=float)
     if A.shape != (3, 3):
@@ -281,70 +270,37 @@ def eigen3(A: np.ndarray) -> EigenDecomposition:
     B = A / scale
 
     # characteristic polynomial of B: x^3 + a*x^2 + b*x + c
-    tr = B[0, 0] + B[1, 1] + B[2, 2]
-    minors = (
-        B[1, 1] * B[2, 2] - B[1, 2] * B[2, 1]
-        + B[0, 0] * B[2, 2] - B[0, 2] * B[2, 0]
-        + B[0, 0] * B[1, 1] - B[0, 1] * B[1, 0]
-    )
-    det = (
-        B[0, 0] * (B[1, 1] * B[2, 2] - B[1, 2] * B[2, 1])
-        - B[0, 1] * (B[1, 0] * B[2, 2] - B[1, 2] * B[2, 0])
-        + B[0, 2] * (B[1, 0] * B[2, 1] - B[1, 1] * B[2, 0])
-    )
-    a, b, c = -float(tr), float(minors), -float(det)
+    (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = B.tolist()
+    a = -(b00 + b11 + b22)
+    b = b11 * b22 - b12 * b21 + b00 * b22 - b02 * b20 + b00 * b11 - b01 * b10
+    c = -(b00 * (b11 * b22 - b12 * b21)
+          - b01 * (b10 * b22 - b12 * b20)
+          + b02 * (b10 * b21 - b11 * b20))
 
-    group_tol = 1e-7  # on the scaled (unit-norm) matrix
-
-    roots = [_polish_root(z, a, b, c) for z in _cubic_roots(a, b, c)]
-    # snap round-off imaginary parts and restore exact conjugate pairing
-    cleaned: list[complex] = []
-    for z in roots:
-        if abs(z.imag) <= 1e-12 * max(1.0, abs(z)):
-            cleaned.append(complex(z.real))
-        else:
-            cleaned.append(z)
-    pos = [i for i, z in enumerate(cleaned) if z.imag > 0.0]
-    neg = [i for i, z in enumerate(cleaned) if z.imag < 0.0]
-    if len(pos) == 1 and len(neg) == 1:
-        z = cleaned[pos[0]]
-        if abs(z.imag) <= group_tol:
-            # a double real root that round-off pushed off the axis
-            cleaned[pos[0]] = complex(z.real)
-            cleaned[neg[0]] = complex(z.real)
-        else:
-            cleaned[neg[0]] = z.conjugate()
-
-    lam = sorted(cleaned, key=lambda z: (-z.real, -z.imag))
-
-    # group repeated eigenvalues to know each multiplicity; a real cubic can
-    # only repeat real roots, so complex values always stand alone
-    groups: list[list[int]] = []
-    for i, z in enumerate(lam):
-        if (groups and z.imag == 0.0 and lam[groups[-1][0]].imag == 0.0
-                and abs(z - lam[groups[-1][0]]) <= group_tol):
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-
-    vectors: list[np.ndarray | None] = [None] * 3
+    # every eigenvalue of the unit-scaled B has |z| <= 3, so one absolute
+    # tolerance both snaps round-off off the real axis and groups repeats
+    group_tol = 1e-7
     rank_tol = 1e-8
-    for group in groups:
-        rep = lam[group[0]]
-        if rep.imag < 0.0:
-            continue  # conjugate of an already-processed eigenvalue
-        mean = sum(lam[i] for i in group) / len(group)
-        basis = _null_space(B - mean * np.eye(3), len(group), rank_tol)
-        for i, vec in zip(group, basis):
-            vectors[i] = _normalize_last_nonzero(vec)
+    roots = (_polish_root(z, a, b, c) for z in _cubic_roots(a, b, c))
+    lam = sorted((complex(z.real) if abs(z.imag) <= group_tol else z for z in roots),
+                 key=lambda z: (-z.real, -abs(z.imag), -z.imag))
+
+    vectors: list[np.ndarray] = []
     for i, z in enumerate(lam):
-        if vectors[i] is None:  # negative member of a conjugate pair
-            partner = next(j for j, w in enumerate(lam) if w == z.conjugate() and vectors[j] is not None)
-            vectors[i] = np.conj(vectors[partner])
+        if z.imag < 0.0:  # its conjugate sorts just before it
+            vectors.append(np.conj(vectors[-1]))
+        elif len(vectors) == i:  # else z is a repeat of the previous root
+            # only real roots repeat; those within group_tol share one eigenspace
+            group = [w for w in lam[i:] if w.imag == z.imag and abs(w - z) <= group_tol]
+            for vec in _null_space(B - sum(group) / len(group) * np.eye(3), len(group),
+                                   rank_tol):
+                last = np.flatnonzero(vec)[-1]
+                vec = vec / vec[last]
+                vec[last] = 1.0
+                vectors.append(vec)
 
     values = np.array(lam, dtype=complex) * scale
-    matrix = np.column_stack(vectors)
-    return EigenDecomposition(values, matrix)
+    return EigenDecomposition(values, np.column_stack(vectors))
 
 
 def classify(eig: EigenDecomposition, tol: float = STABILITY_TOL) -> StabilityReport:

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -39,13 +40,19 @@ from .scenario import (
 __all__ = ["CliConfig", "UsageError", "parse_args", "emit_trajectory",
            "emit_analysis", "main"]
 
-_PARAM_NAMES = ("s", "d", "beta", "k", "m1", "m2")
+
+def _field_names(cls) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
+
+
+_PARAM_NAMES = _field_names(ModelParams)
 _DEFAULT_MESH = {"a": 0.0, "b": 400.0, "h": DEFAULT_STEP}
 # the JSON scenario file: the keys of each object section, the keys of each
-# window in the "schedule" list, and the top-level keys
-_CONFIG_SECTIONS = {"params": _PARAM_NAMES, "mesh": ("a", "b", "h"),
-                    "initial": ("T", "T_star", "V")}
-_WINDOW_KEYS = ("t_start", "t_end", "u1", "u2")
+# window in the "schedule" list, and the top-level keys; all are the fields
+# of the value types they build
+_CONFIG_SECTIONS = {"params": _PARAM_NAMES, "mesh": _field_names(MeshSpec),
+                    "initial": _field_names(SystemState)}
+_WINDOW_KEYS = _field_names(TreatmentWindow)
 _CONFIG_KEYS = ("kind", *_CONFIG_SECTIONS, "schedule", "label")
 _METRIC_KEYS = (
     "final_T", "final_Tstar", "final_V",
@@ -384,13 +391,25 @@ def emit_analysis(params: ModelParams, kind: ModelKind,
 # command handlers
 
 
+def _say(text: str) -> None:
+    """Print ``text`` and a newline to stdout.  A reader that has gone away
+    (``| head``) gets nothing more, and the command still writes its files."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # send later lines, and the flush at exit, to the null device
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+
+
 def _cmd_simulate(cli: CliConfig) -> int:
     config = resolve_scenario(cli)
     result = run(config)
     out = emit_trajectory(result, cli.out or Path("trajectory.csv"))
     final = result.metrics.final_state
-    print(f"wrote {out} and {metrics_path_for(out)}")
-    print(f"final state: T={_fmt(final.T)} Tstar={_fmt(final.T_star)} V={_fmt(final.V)}")
+    _say(f"wrote {out} and {metrics_path_for(out)}")
+    _say(f"final state: T={_fmt(final.T)} Tstar={_fmt(final.T_star)} V={_fmt(final.V)}")
     return 0
 
 
@@ -399,8 +418,7 @@ def _cmd_analyze(cli: CliConfig) -> int:
     segments = config.schedule.segments
     efficacies = (segments[0].u1, segments[0].u2) if segments else (0.0, 0.0)
     out = emit_analysis(config.params, config.kind, efficacies, cli.out or Path("analysis.txt"))
-    sys.stdout.write(out.read_text())
-    print(f"wrote {out}")
+    _say(f"{out.read_text()}wrote {out}")
     return 0
 
 
@@ -422,8 +440,8 @@ def _cmd_linearize(cli: CliConfig) -> int:
         f"max_discrepancy_V={_fmt(comparison.component_max[2])}",
         f"max_discrepancy={_fmt(comparison.max_discrepancy)}",
     ])
-    print(f"wrote {out} and {report_path}")
-    print(f"max discrepancy vs nonlinear flow: {_fmt(comparison.max_discrepancy)}")
+    _say(f"wrote {out} and {report_path}")
+    _say(f"max discrepancy vs nonlinear flow: {_fmt(comparison.max_discrepancy)}")
     return 0
 
 
@@ -437,9 +455,9 @@ def _cmd_reproduce(cli: CliConfig) -> int:
         result = run(scenario)
         emit_trajectory(result, out_dir / f"{scenario.label}.csv")
         summary.append(",".join([scenario.label, *_metric_values(result)]))
-        print(f"ran {scenario.label}")
+        _say(f"ran {scenario.label}")
     summary_path = _write_lines(out_dir / "summary.csv", summary)
-    print(f"wrote {summary_path}")
+    _say(f"wrote {summary_path}")
     return 0
 
 
@@ -455,10 +473,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cli = parse_args(sys.argv[1:] if argv is None else argv)
         return _COMMANDS[cli.command](cli)
-    except ValueError as err:  # UsageError and validation errors alike
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
+    except (ValueError, OSError) as err:  # usage, validation and file errors alike
         print(f"error: {err}", file=sys.stderr)
         return 2
     except NumericalError as err:

@@ -373,3 +373,16 @@ def test_scalar_time_gives_one_state():
     sol = fit_linearized(_paper_system_decomposition(), np.array([1.0, 0.1, 5.0]))
     assert evaluate_linearized(sol, 2.5).shape == (3,)
     assert evaluate_linearized(sol, np.float64(2.5)).shape == (3,)
+
+
+def test_conjugate_pair_sorts_before_a_real_eigenvalue_of_equal_real_part():
+    # spectrum {2i, 0, -2i}: all three real parts tie at 0
+    A = np.array([[-2.0, -2.0, -1.0], [2.0, 2.0, 1.0], [2.0, -2.0, 0.0]])
+    dec = eigen3(A)
+    assert dec.eigenvalues[0].imag > 0.0
+    assert dec.eigenvalues[1] == dec.eigenvalues[0].conjugate()
+    assert dec.eigenvalues[2].imag == 0.0
+    assert np.allclose(dec.eigenvalues, [2j, -2j, 0.0], atol=1e-12)
+    assert np.array_equal(dec.eigenvectors[:, 1], np.conj(dec.eigenvectors[:, 0]))
+    for lam, vec in zip(dec.eigenvalues, dec.eigenvectors.T):
+        assert np.linalg.norm(A @ vec - lam * vec) <= 1e-12 * np.linalg.norm(vec)

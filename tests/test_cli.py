@@ -1,13 +1,17 @@
 """Flag parsing, config resolution, file formats, and exit codes."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import viradyn
 from viradyn import MeshSpec, ModelKind, ModelParams, ScenarioConfig, SystemState
 from viradyn import EfficacySchedule, run
 from viradyn.cli import (
@@ -346,3 +350,35 @@ def test_unknown_key_inside_a_config_section_exits_two(tmp_path, capsys, doc, ke
     err = capsys.readouterr().err
     assert "--config" in err and repr(key) in err
     assert list(tmp_path.glob("*.csv")) == []
+
+
+# --- the reader of stdout, and the frozen efficacies of analyze ------------------
+
+def test_closed_stdout_still_writes_every_file_and_exits_zero(tmp_path):
+    out = tmp_path / "r"
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the command prints anything
+    path = [str(Path(viradyn.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from viradyn.cli import main; sys.exit(main())",
+             "reproduce", f"--out={out}"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 0
+    assert proc.stderr == b""
+    assert len(list(out.iterdir())) == 29  # 14 CSVs, 14 metrics files, summary.csv
+
+
+def test_analyze_freezes_the_efficacies_of_the_earliest_window(tmp_path, capsys):
+    out = tmp_path / "a.txt"
+    assert main(["analyze", "--model", "two-control", "--treat", "200:300:0.5",
+                 "--treat", "100:150:0.2", f"--out={out}"]) == 0
+    assert "efficacies: u1=0.2 u2=0\n" in capsys.readouterr().out
+
+
+def test_unwritable_out_still_exits_two(tmp_path, capsys):
+    assert main(["analyze", f"--out={tmp_path / 'missing' / 'a.txt'}"]) == 2
+    assert "error:" in capsys.readouterr().err
