@@ -9,6 +9,7 @@ metrics file; analysis reports are structured text.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -175,6 +176,9 @@ def _bind_window(window: tuple[float, float, float, float | None],
     return TreatmentWindow(start, end, u1, u2)
 
 
+# built on first use and kept for the process: argparse copies the ``append``
+# defaults on every parse, so one parser serves every call
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--model", type=_model_arg, default=None,
@@ -321,18 +325,28 @@ def _metric_values(result: ScenarioResult) -> list[str]:
 
 
 def _write_lines(path: Path, lines) -> Path:
-    """Write each line LF-terminated; every file the CLI produces goes through here."""
+    """Write each line LF-terminated; every file but a trajectory CSV goes through here."""
     path = Path(path)
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
     return path
 
 
+# for Python floats, %-formatting renders the same bytes as ``_fmt``
+_CSV_ROW = "%.9g,%.9g,%.9g,%.9g\n"
+_CSV_BLOCK = 512  # rows per write, so no file is ever held in memory whole
+
+
 def _write_csv(path: Path, times: np.ndarray, states: np.ndarray) -> Path:
     """The ``t,T,Tstar,V`` CSV: one row per time, 9 significant digits."""
-    rows = (",".join(_fmt(x) for x in (t, row[0], row[1], row[2]))
-            for t, row in zip(times, states))
-    return _write_lines(path, ["t,T,Tstar,V", *rows])
+    path = Path(path)
+    with open(path, "w", newline="\n") as fh:
+        fh.write("t,T,Tstar,V\n")
+        for i in range(0, len(times), _CSV_BLOCK):
+            j = i + _CSV_BLOCK
+            rows = np.column_stack((times[i:j], states[i:j])).tolist()
+            fh.write("".join([_CSV_ROW % tuple(row) for row in rows]))
+    return path
 
 
 def metrics_path_for(csv_path: Path) -> Path:
@@ -417,8 +431,9 @@ def _cmd_analyze(cli: CliConfig) -> int:
     config = resolve_scenario(cli)
     segments = config.schedule.segments
     efficacies = (segments[0].u1, segments[0].u2) if segments else (0.0, 0.0)
-    out = emit_analysis(config.params, config.kind, efficacies, cli.out or Path("analysis.txt"))
-    _say(f"{out.read_text()}wrote {out}")
+    report = render_analysis(config.params, config.kind, efficacies)
+    out = _write_lines(cli.out or Path("analysis.txt"), report.splitlines())
+    _say(f"{report}wrote {out}")
     return 0
 
 
@@ -446,6 +461,12 @@ def _cmd_linearize(cli: CliConfig) -> int:
 
 
 def _cmd_reproduce(cli: CliConfig) -> int:
+    fixed_by_the_suite = {"--model": cli.model, "--t0": cli.t0, "--t1": cli.t1,
+                          "--init": cli.init, "--treat": cli.treat or None}
+    for flag, value in fixed_by_the_suite.items():
+        if value is not None:
+            raise UsageError(f"{flag}: reproduce runs the built-in scenario suite and "
+                             "takes only --param, --h, --config and --out")
     config = resolve_scenario(cli)  # only the parameter overrides matter here
     out_dir = cli.out or Path("reproduction")
     out_dir.mkdir(parents=True, exist_ok=True)

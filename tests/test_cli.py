@@ -1,10 +1,12 @@
 """Flag parsing, config resolution, file formats, and exit codes."""
 
+import hashlib
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import viradyn
+from viradyn import cli
 from viradyn import MeshSpec, ModelKind, ModelParams, ScenarioConfig, SystemState
 from viradyn import EfficacySchedule, run
 from viradyn.cli import (
@@ -382,3 +385,65 @@ def test_analyze_freezes_the_efficacies_of_the_earliest_window(tmp_path, capsys)
 def test_unwritable_out_still_exits_two(tmp_path, capsys):
     assert main(["analyze", f"--out={tmp_path / 'missing' / 'a.txt'}"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+# --- one parser per process ------------------------------------------------------
+
+def test_repeated_flags_do_not_leak_into_the_next_parse():
+    first = parse_args(["simulate", "--treat=1:2:0.5", "--treat=3:4:0.5", "--param=s=5"])
+    assert len(first.treat) == 2 and first.param_overrides == (("s", 5.0),)
+    again = parse_args(["simulate"])
+    assert again.treat == () and again.param_overrides == ()
+
+
+def test_analyze_prints_exactly_the_report_it_wrote(tmp_path, capsys):
+    out = tmp_path / "a.txt"
+    assert main(["analyze", "--model", "two-control", "--treat", "10:20:0.3:0.4",
+                 f"--out={out}"]) == 0
+    assert capsys.readouterr().out == f"{out.read_text()}wrote {out}\n"
+
+
+# --- reproduce runs the built-in suite only --------------------------------------
+
+@pytest.mark.parametrize("flag", ["--model=combined", "--t0=0", "--t1=5",
+                                  "--init=1,2,3", "--treat=1:2:0.5"])
+def test_reproduce_rejects_the_flags_it_would_ignore(tmp_path, capsys, flag):
+    out = tmp_path / "r"
+    assert main(["reproduce", flag, f"--out={out}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag.split('=')[0]}: reproduce ")
+    assert not out.exists()
+
+
+# --- the CSV byte contract ----------------------------------------------------------
+
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, -1e-300,
+                1e300, -1e300, 1.7976931348623157e308, 0.1, 1.0 / 3.0, 123456789.5]
+_BLOCK = cli._CSV_BLOCK
+
+
+@given(n_rows=st.sampled_from([1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1]),
+       pool=st.lists(st.one_of(st.sampled_from(_EDGE_FLOATS),
+                               st.floats(allow_nan=False, allow_infinity=False)),
+                     min_size=1, max_size=40))
+def test_csv_bytes_equal_the_per_value_rendering(n_rows, pool):
+    values = np.resize(np.array(pool, dtype=float), (n_rows, 4))
+    times, states = values[:, 0], values[:, 1:]
+    expected = "t,T,Tstar,V\n" + "".join(
+        ",".join(f"{x:.9g}" for x in (t, *row)) + "\n" for t, row in zip(times, states))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = cli._write_csv(Path(tmp) / "t.csv", times, states)
+        assert path.read_bytes() == expected.encode()
+
+
+def test_reproduce_files_match_their_recorded_hashes(tmp_path):
+    # recorded from the per-value writer; the kernel is IEEE + - * / only
+    out = tmp_path / "r"
+    assert main(["reproduce", "--h", "0.5", f"--out={out}"]) == 0
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in ("summary.csv", "two-control-u0.5.csv")}
+    assert digests == {
+        "summary.csv": "681a796eb9badb4508eabc597de8adef11b19ebfb62517229e12409bb0652f3f",
+        "two-control-u0.5.csv":
+            "ccc1ac64927a94f5576ed8312b792998666372c2a59c2dd5083a1fa2324a78fd",
+    }
