@@ -208,8 +208,6 @@ def _null_space(B: np.ndarray, count: int, tol: float) -> list[np.ndarray]:
     pivots: list[tuple[int, int]] = []  # (row, col) in echelon order
     row = 0
     for col in range(n):
-        if row == n:
-            break
         lead = row + int(np.argmax(np.abs(U[row:, col])))
         if abs(U[lead, col]) <= tol:
             U[row:, col] = 0.0
@@ -226,7 +224,7 @@ def _null_space(B: np.ndarray, count: int, tol: float) -> list[np.ndarray]:
     pivot_cols = {col for _, col in pivots}
     free_cols = [col for col in range(n) if col not in pivot_cols]
     if len(free_cols) < count:
-        if count == 1 and pivots:
+        if count == 1:
             # matrix is singular in exact arithmetic: release the last pivot
             row, col = pivots.pop()
             U[row, :] = 0.0

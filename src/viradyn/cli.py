@@ -151,29 +151,27 @@ def _treat_arg(text: str) -> tuple[float, float, float, float | None]:
     if len(parts) not in (3, 4):
         raise argparse.ArgumentTypeError(f"expected start:end:u1[:u2], got {text!r}")
     start, end, u1, *rest = (_float_arg(p) for p in parts)
-    window = (start, end, u1, rest[0] if rest else None)
-    try:
-        _bind_window(window)  # TreatmentWindow checks the order and the efficacies
-    except ValueError as err:
-        raise argparse.ArgumentTypeError(f"{err} in {text!r}") from None
-    return window
+    return start, end, u1, rest[0] if rest else None
 
 
 def _bind_window(window: tuple[float, float, float, float | None],
-                 kind: ModelKind = ModelKind.BASIC) -> TreatmentWindow:
-    """The window of a --treat spec; a single efficacy is u2 for combined, else u1."""
+                 kind: ModelKind) -> TreatmentWindow:
+    """A --treat or config window; a single efficacy is u2 for combined, else u1."""
     start, end, u1, u2 = window
     if u2 is None:
-        if kind is ModelKind.COMBINED:
-            u1, u2 = 0.0, u1
-        else:
-            u1, u2 = u1, 0.0
+        u1, u2 = (0.0, u1) if kind is ModelKind.COMBINED else (u1, 0.0)
     elif kind is ModelKind.COMBINED and u1 != 0.0:
-        raise UsageError(
-            "--treat: the combined model has a single efficacy; give one value "
-            "or set u1 to 0"
-        )
+        raise ValueError(f"the combined model has a single efficacy, u2; set u1 to 0 "
+                         f"(got {u1!r} in [{start!r}, {end!r}))")
     return TreatmentWindow(start, end, u1, u2)
+
+
+def _schedule(windows, kind: ModelKind, where: str) -> EfficacySchedule:
+    """The schedule of raw windows read from ``where``, which names its errors."""
+    try:
+        return EfficacySchedule(tuple(_bind_window(w, kind) for w in windows))
+    except ValueError as err:
+        raise UsageError(f"{where}: {err}") from None
 
 
 # built on first use and kept for the process: argparse copies the ``append``
@@ -216,10 +214,7 @@ def parse_args(argv: list[str]) -> CliConfig:
     """Parse flags into a CliConfig, raising UsageError on bad input."""
     ns = _build_parser().parse_args(argv)
     treat = tuple(ns.treat)
-    try:
-        EfficacySchedule(tuple(_bind_window(w) for w in treat))
-    except ValueError as err:
-        raise UsageError(f"--treat: {err}") from None
+    _schedule(treat, ModelKind.BASIC, "--treat")  # the kind is known once resolved
     return CliConfig(
         command=ns.command,
         config_path=ns.config,
@@ -269,15 +264,18 @@ def _load_config_file(path: Path) -> dict:
             layer["kind"] = _model_arg(str(raw["kind"]))
         if "label" in raw:
             layer["label"] = str(raw["label"])
-        schedule = raw.get("schedule", [])
-        if not isinstance(schedule, list):
-            raise UsageError("--config: schedule must be a JSON list")
-        layer["schedule"] = [TreatmentWindow(**_floats(w, f"schedule[{i}]", _WINDOW_KEYS))
-                             for i, w in enumerate(schedule)]
+        if "schedule" in raw:
+            if not isinstance(raw["schedule"], list):
+                raise UsageError("--config: schedule must be a JSON list")
+            windows = [_floats(w, f"schedule[{i}]", _WINDOW_KEYS)
+                       for i, w in enumerate(raw["schedule"])]
+            layer["schedule"] = [tuple(w[key] for key in _WINDOW_KEYS) for w in windows]
     except UsageError:
         raise
     except argparse.ArgumentTypeError as err:
         raise UsageError(f"--config: {err}") from None
+    except KeyError as err:
+        raise UsageError(f"--config: a schedule window has no {err}") from None
     except (TypeError, ValueError) as err:
         raise UsageError(f"--config: malformed value in {path}: {err}") from None
     return layer
@@ -286,6 +284,14 @@ def _load_config_file(path: Path) -> dict:
 def resolve_scenario(cli: CliConfig) -> ScenarioConfig:
     """Merge defaults, the optional JSON file, and inline flags."""
     file = {} if cli.config_path is None else _load_config_file(cli.config_path)
+    if cli.command == "reproduce":  # the suite fixes all but the parameters and h
+        flags = {"--model": cli.model, "--t0": cli.t0, "--t1": cli.t1, "--init": cli.init,
+                 "--treat": cli.treat or None}
+        fixed = [flag for flag, value in flags.items() if value is not None]
+        fixed += [f"--config: {name}" for name in file if name != "params"]
+        if fixed:
+            raise UsageError(f"{fixed[0]}: reproduce runs the built-in scenario suite and "
+                             "takes only --param, --h, --out and the params of --config")
     kind = cli.model or file.get("kind", ModelKind.BASIC)
     flag_mesh = {"a": cli.t0, "b": cli.t1, "h": cli.h}
     params = {**asdict(ModelParams()), **file.get("params", {}), **dict(cli.param_overrides)}
@@ -293,10 +299,10 @@ def resolve_scenario(cli: CliConfig) -> ScenarioConfig:
             **{key: x for key, x in flag_mesh.items() if x is not None}}
     initial = (SystemState(*cli.init) if cli.init is not None
                else file.get("initial", DEFAULT_INITIAL))
-    windows = ([_bind_window(w, kind) for w in cli.treat] if cli.treat
-               else file.get("schedule", []))
-    return ScenarioConfig(kind, ModelParams(**params), MeshSpec(**mesh), initial,
-                          EfficacySchedule(tuple(windows)), label=file.get("label", "cli"))
+    schedule = (_schedule(cli.treat, kind, "--treat") if cli.treat
+                else _schedule(file.get("schedule", ()), kind, "--config: schedule"))
+    return ScenarioConfig(kind, ModelParams(**params), MeshSpec(**mesh), initial, schedule,
+                          label=file.get("label", "cli"))
 
 
 # ---------------------------------------------------------------------------
@@ -439,8 +445,6 @@ def _cmd_analyze(cli: CliConfig) -> int:
 
 def _cmd_linearize(cli: CliConfig) -> int:
     config = resolve_scenario(cli)
-    if config.kind is not ModelKind.BASIC:
-        raise UsageError("--model: linearize works on the basic model")
     if cli.init is not None:
         perturbation = np.asarray(cli.init) - infected_equilibrium(config.params).as_array()
     else:
@@ -461,18 +465,12 @@ def _cmd_linearize(cli: CliConfig) -> int:
 
 
 def _cmd_reproduce(cli: CliConfig) -> int:
-    fixed_by_the_suite = {"--model": cli.model, "--t0": cli.t0, "--t1": cli.t1,
-                          "--init": cli.init, "--treat": cli.treat or None}
-    for flag, value in fixed_by_the_suite.items():
-        if value is not None:
-            raise UsageError(f"{flag}: reproduce runs the built-in scenario suite and "
-                             "takes only --param, --h, --config and --out")
-    config = resolve_scenario(cli)  # only the parameter overrides matter here
+    config = resolve_scenario(cli)  # only the parameters and h matter here
+    scenarios = reference_scenarios(config.params, h=config.mesh.h)  # checks h on each mesh
     out_dir = cli.out or Path("reproduction")
     out_dir.mkdir(parents=True, exist_ok=True)
-    h = DEFAULT_STEP if cli.h is None else cli.h
     summary = ["label," + ",".join(_METRIC_KEYS)]
-    for scenario in reference_scenarios(config.params, h=h):
+    for scenario in scenarios:
         result = run(scenario)
         emit_trajectory(result, out_dir / f"{scenario.label}.csv")
         summary.append(",".join([scenario.label, *_metric_values(result)]))

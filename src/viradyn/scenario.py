@@ -30,6 +30,7 @@ from .model import (
     ModelKind,
     ModelParams,
     SystemState,
+    TreatmentWindow,
     effective_rates,
     rhs_at_rates,
 )
@@ -88,19 +89,26 @@ class ScenarioConfig:
                             ("V", self.initial.V)):
             if value < 0.0:
                 raise ValueError(f"initial {name} must be non-negative, got {value!r}")
-        a, b, h = self.mesh.a, self.mesh.b, self.mesh.h
-        for seg in self.schedule.segments:
-            if seg.t_start < a or seg.t_end > b:
-                raise ValueError(
-                    f"treatment window [{seg.t_start}, {seg.t_end}) falls outside "
-                    f"the mesh [{a}, {b}]"
-                )
-            for edge in (seg.t_start, seg.t_end):
-                if mesh_index(a, edge, h) is None:
-                    raise ValueError(
-                        f"treatment window edge {edge!r} is not a mesh point of "
-                        f"[{a}, {b}] with step h={h!r}"
-                    )
+        _window_steps(self.schedule, self.mesh)
+
+
+def _window_steps(schedule: EfficacySchedule,
+                  mesh: MeshSpec) -> list[tuple[int, int, TreatmentWindow]]:
+    """``(i0, i1, window)`` per window, covering the whole steps [i0, i1).
+    ValueError when a window reaches outside the mesh or an edge is off it."""
+    a, b, h = mesh.a, mesh.b, mesh.h
+    steps = []
+    for seg in schedule.segments:
+        i0, i1 = (mesh_index(a, t, h) for t in (seg.t_start, seg.t_end))
+        if seg.t_start < a or (i1 is not None and i1 > mesh.n_steps):
+            raise ValueError(f"treatment window [{seg.t_start}, {seg.t_end}) falls outside "
+                             f"the mesh [{a}, {b}]")
+        for edge, i in ((seg.t_start, i0), (seg.t_end, i1)):
+            if i is None:
+                raise ValueError(f"treatment window edge {edge!r} is not a mesh point of "
+                                 f"[{a}, {b}] with step h={h!r}")
+        steps.append((i0, i1, seg))
+    return steps
 
 
 @dataclass(frozen=True)
@@ -122,34 +130,28 @@ class ScenarioResult:
 
 
 def compute_metrics(trajectory: Trajectory, schedule: EfficacySchedule) -> MetricSet:
-    """Derive the metric set from a trajectory; recomputable at any time."""
+    """Derive the metric set from a trajectory; recomputable at any time.
+    ValueError when ``schedule`` does not fit the trajectory's mesh."""
     times = trajectory.times
     viral = trajectory.states[:, 2]
     h = trajectory.h
 
     i_peak = int(np.argmax(viral))
 
-    def row(t: float) -> int:  # window edges are mesh points: index, not compare
-        return min(max(round((t - times[0]) / h), 0), len(times))
-
-    min_treat = min_treat_day = None
-    if schedule.segments:
-        mask = np.zeros(len(times), dtype=bool)
-        for seg in schedule.segments:
-            mask[row(seg.t_start):row(seg.t_end)] = True
-        if mask.any():
-            idx = np.flatnonzero(mask)
-            i_min = idx[int(np.argmin(viral[idx]))]
-            min_treat = float(viral[i_min])
-            min_treat_day = float(times[i_min])
-
     # left-endpoint rule so the total never exceeds the simulated span
     suppression = h * int(np.count_nonzero(viral[:-1] < SUPPRESSION_THRESHOLD))
 
-    rebound = None
+    min_treat = min_treat_day = rebound = None
     if schedule.segments:
-        i_end = row(max(seg.t_end for seg in schedule.segments))
-        if i_end < len(times) - 1:
+        a, b, n = float(times[0]), float(times[-1]), len(times) - 1
+        steps = _window_steps(schedule, MeshSpec(a, b, (b - a) / n))
+        rows = np.concatenate([np.arange(i0, i1) for i0, i1, _ in steps])
+        if rows.size:
+            i_min = rows[int(np.argmin(viral[rows]))]
+            min_treat = float(viral[i_min])
+            min_treat_day = float(times[i_min])
+        i_end = steps[-1][1]  # the windows are ordered and disjoint
+        if i_end < n:
             after = np.flatnonzero(viral[i_end + 1:] >= 2.0 * viral[i_end])
             if after.size:
                 rebound = float(times[i_end + 1 + after[0]])
@@ -185,8 +187,7 @@ def _integrate(config: ScenarioConfig) -> Trajectory:
     n, h = mesh.n_steps, mesh.h
     off = effective_rates(kind, params, 0.0, 0.0)
     runs, i = [], 0  # (first step, end step, (beta_eff, k_eff))
-    for seg in config.schedule.segments:
-        i0, i1 = mesh_index(mesh.a, seg.t_start, h), mesh_index(mesh.a, seg.t_end, h)
+    for i0, i1, seg in _window_steps(config.schedule, mesh):
         runs += [(i, i0, off), (i0, i1, effective_rates(kind, params, seg.u1, seg.u2))]
         i = i1
     runs.append((i, n, off))

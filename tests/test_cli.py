@@ -447,3 +447,54 @@ def test_reproduce_files_match_their_recorded_hashes(tmp_path):
         "two-control-u0.5.csv":
             "ccc1ac64927a94f5576ed8312b792998666372c2a59c2dd5083a1fa2324a78fd",
     }
+
+
+# --- config windows obey the --treat rules -----------------------------------------
+
+@pytest.mark.parametrize("command", ["simulate", "analyze"])
+def test_combined_config_window_with_nonzero_u1_exits_two(tmp_path, capsys, command):
+    doc = {"kind": "combined", "mesh": {"a": 0.0, "b": 20.0, "h": 0.1},
+           "schedule": [{"t_start": 5.0, "t_end": 10.0, "u1": 0.9, "u2": 0.0}]}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, f"--config={path}", f"--out={tmp_path / 'out.txt'}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --config: schedule: the combined model has a single efficacy")
+    assert "--treat" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+
+# --- reproduce reads only params from a config file -------------------------------
+
+@pytest.mark.parametrize("section, value", [
+    ("kind", "combined"),
+    ("mesh", {"a": 0.0, "b": 400.0, "h": 0.5}),
+    ("initial", {"T": 1000.0, "T_star": 1.0, "V": 50.0}),
+    ("schedule", [{"t_start": 150.0, "t_end": 400.0, "u1": 0.5, "u2": 0.5}]),
+    ("label", "mine"),
+])
+def test_reproduce_rejects_the_config_sections_it_would_ignore(tmp_path, capsys,
+                                                                section, value):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"params": {"s": 11.0}, section: value}))
+    out = tmp_path / "r"
+    assert main(["reproduce", f"--config={path}", f"--out={out}"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: --config: {section}: reproduce ")
+    assert not out.exists()
+
+
+def test_reproduce_with_a_step_that_misses_the_600_day_mesh_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "r"
+    assert main(["reproduce", "--h=80", f"--out={out}"]) == 2  # divides 400, not 600
+    assert "does not divide [0.0, 600.0]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_reproduce_still_reads_params_from_a_config_file(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"params": {"s": 11.0}}))
+    assert resolve_scenario(parse_args(["reproduce", f"--config={path}"])).params.s == 11.0
+    assert main(["reproduce", "--h=0.5", f"--config={path}", f"--out={tmp_path / 'f'}"]) == 0
+    assert main(["reproduce", "--h=0.5", "--param=s=11", f"--out={tmp_path / 'p'}"]) == 0
+    summaries = [(tmp_path / d / "summary.csv").read_bytes() for d in ("f", "p")]
+    assert summaries[0] == summaries[1]

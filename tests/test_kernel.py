@@ -18,6 +18,7 @@ from viradyn import (
     ScenarioConfig,
     SystemState,
     TreatmentWindow,
+    compute_metrics,
     integrate,
     reference_scenarios,
     rk4_step,
@@ -204,3 +205,31 @@ def test_treatment_metrics_use_mesh_indices_not_float_times():
     assert m.rebound_day == pytest.approx(491.4)
     assert math.isclose(m.min_viral_load_during_treatment,
                         result.trajectory.states[500:700, 2].min())
+
+
+# --- compute_metrics maps windows as the constructor does -----------------------------
+
+def _untreated_300_days():
+    return run(ScenarioConfig(ModelKind.COMBINED, PARAMS, MeshSpec(0.0, 300.0, 0.1),
+                              DEFAULT_INITIAL, EfficacySchedule())).trajectory
+
+
+def test_metrics_reject_a_window_edge_off_the_trajectory_mesh():
+    with pytest.raises(ValueError, match="not a mesh point"):
+        compute_metrics(_untreated_300_days(),
+                        EfficacySchedule.window(150.05, 300.0, 0.0, 0.5))
+
+
+def test_metrics_reject_a_window_past_the_trajectory_end():
+    with pytest.raises(ValueError, match="outside"):
+        compute_metrics(_untreated_300_days(), EfficacySchedule.window(150.0, 400.0, 0.0, 0.5))
+
+
+def test_metrics_accept_a_window_ending_on_a_last_time_rounded_below_it():
+    # 0.7 * 700 rounds to 489.99999999999994, below the window end 490
+    config = ScenarioConfig(ModelKind.COMBINED, PARAMS, MeshSpec(0.0, 490.0, 0.7),
+                            DEFAULT_INITIAL, EfficacySchedule.window(350.0, 490.0, 0.0, 0.5))
+    result = run(config)
+    assert result.trajectory.times[-1] < 490.0
+    treated = result.trajectory.states[500:700, 2]
+    assert result.metrics.min_viral_load_during_treatment == treated.min()
