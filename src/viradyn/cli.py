@@ -32,6 +32,7 @@ from .scenario import (
     DEFAULT_INITIAL,
     ScenarioConfig,
     ScenarioResult,
+    _run_sharing_prefixes,
     compare_linearization,
     infected_equilibrium,
     reference_scenarios,
@@ -470,11 +471,10 @@ def _cmd_reproduce(cli: CliConfig) -> int:
     out_dir = cli.out or Path("reproduction")
     out_dir.mkdir(parents=True, exist_ok=True)
     summary = ["label," + ",".join(_METRIC_KEYS)]
-    for scenario in scenarios:
-        result = run(scenario)
-        emit_trajectory(result, out_dir / f"{scenario.label}.csv")
-        summary.append(",".join([scenario.label, *_metric_values(result)]))
-        _say(f"ran {scenario.label}")
+    for result in _run_sharing_prefixes(scenarios):
+        emit_trajectory(result, out_dir / f"{result.config.label}.csv")
+        summary.append(",".join([result.config.label, *_metric_values(result)]))
+        _say(f"ran {result.config.label}")
     summary_path = _write_lines(out_dir / "summary.csv", summary)
     _say(f"wrote {summary_path}")
     return 0

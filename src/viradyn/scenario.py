@@ -11,6 +11,7 @@ end-of-treatment value.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -95,7 +96,7 @@ class ScenarioConfig:
 def _window_steps(schedule: EfficacySchedule,
                   mesh: MeshSpec) -> list[tuple[int, int, TreatmentWindow]]:
     """``(i0, i1, window)`` per window, covering the whole steps [i0, i1).
-    ValueError when a window reaches outside the mesh or an edge is off it."""
+    ValueError when a window is outside the mesh, off it, or covers no step."""
     a, b, h = mesh.a, mesh.b, mesh.h
     steps = []
     for seg in schedule.segments:
@@ -107,6 +108,9 @@ def _window_steps(schedule: EfficacySchedule,
             if i is None:
                 raise ValueError(f"treatment window edge {edge!r} is not a mesh point of "
                                  f"[{a}, {b}] with step h={h!r}")
+        if i1 <= i0:
+            raise ValueError(f"treatment window [{seg.t_start}, {seg.t_end}) covers no step "
+                             f"of the mesh [{a}, {b}] with step h={h!r}")
         steps.append((i0, i1, seg))
     return steps
 
@@ -146,10 +150,9 @@ def compute_metrics(trajectory: Trajectory, schedule: EfficacySchedule) -> Metri
         a, b, n = float(times[0]), float(times[-1]), len(times) - 1
         steps = _window_steps(schedule, MeshSpec(a, b, (b - a) / n))
         rows = np.concatenate([np.arange(i0, i1) for i0, i1, _ in steps])
-        if rows.size:
-            i_min = rows[int(np.argmin(viral[rows]))]
-            min_treat = float(viral[i_min])
-            min_treat_day = float(times[i_min])
+        i_min = rows[int(np.argmin(viral[rows]))]  # every window covers a step
+        min_treat = float(viral[i_min])
+        min_treat_day = float(times[i_min])
         i_end = steps[-1][1]  # the windows are ordered and disjoint
         if i_end < n:
             after = np.flatnonzero(viral[i_end + 1:] >= 2.0 * viral[i_end])
@@ -169,12 +172,30 @@ def compute_metrics(trajectory: Trajectory, schedule: EfficacySchedule) -> Metri
 
 def run(config: ScenarioConfig) -> ScenarioResult:
     """Integrate the configured model and attach metrics."""
-    trajectory = _integrate(config)
+    trajectory = _integrate(config, _rate_runs(config))
     return ScenarioResult(config, trajectory, compute_metrics(trajectory, config.schedule))
 
 
-def _integrate(config: ScenarioConfig) -> Trajectory:
-    """RK4 across the mesh with (beta_eff, k_eff) held constant over each step.
+def _rate_runs(config: ScenarioConfig) -> list[tuple[int, int, tuple[float, float]]]:
+    """``(i0, i1, (beta_eff, k_eff))`` per run of steps [i0, i1), none empty and
+    no two neighbours alike, so two lists agree exactly as far as their marches."""
+    kind, params = config.kind, config.params
+    off = effective_rates(kind, params, 0.0, 0.0)
+    runs, i = [], 0
+    for i0, i1, seg in _window_steps(config.schedule, config.mesh):
+        runs += [(i, i0, off), (i0, i1, effective_rates(kind, params, seg.u1, seg.u2))]
+        i = i1
+    canonical = []
+    for i0, i1, rates in runs + [(i, config.mesh.n_steps, off)]:
+        if canonical and canonical[-1][2] == rates:
+            i0 = canonical.pop()[0]
+        if i0 < i1:
+            canonical.append((i0, i1, rates))
+    return canonical
+
+
+def _integrate(config: ScenarioConfig, runs: list, prefix: np.ndarray | None = None) -> Trajectory:
+    """RK4 across the mesh, holding each step's (beta_eff, k_eff) from ``runs``.
 
     Each window covers the whole steps [i0, i1) between its edges, which
     are mesh points, so a step never straddles a switch and the method
@@ -182,23 +203,18 @@ def _integrate(config: ScenarioConfig) -> Trajectory:
     on :func:`rhs_at_rates`, written out on floats.  Rows are checked for
     finiteness once at the end; the first bad step is then replayed
     through :func:`rk4_step`, which raises the labelled blowup error.
+    Given ``prefix``, its rows are copied and the march resumes from its last.
     """
-    kind, params, mesh = config.kind, config.params, config.mesh
+    params, mesh = config.params, config.mesh
     n, h = mesh.n_steps, mesh.h
-    off = effective_rates(kind, params, 0.0, 0.0)
-    runs, i = [], 0  # (first step, end step, (beta_eff, k_eff))
-    for i0, i1, seg in _window_steps(config.schedule, mesh):
-        runs += [(i, i0, off), (i0, i1, effective_rates(kind, params, seg.u1, seg.u2))]
-        i = i1
-    runs.append((i, n, off))
-
     s, d, m1, m2 = params.s, params.d, params.m1, params.m2
-    T, Ts, V = config.initial.as_array().tolist()
     states = np.empty((n + 1, 3))
+    start = 0 if prefix is None else len(prefix) - 1
+    states[:start + 1] = config.initial.as_array() if prefix is None else prefix
+    T, Ts, V = states[start].tolist()
     out = memoryview(states.reshape(-1))
-    out[0], out[1], out[2] = T, Ts, V
     for i0, i1, (beta, k) in runs:
-        for j in range(3 * i0 + 3, 3 * i1 + 3, 3):
+        for j in range(3 * max(i0, start) + 3, 3 * i1 + 3, 3):
             x = beta * T * V
             k1T = h * (s - d * T - x)
             k1Ts = h * (x - m2 * Ts)
@@ -243,15 +259,38 @@ def run_matrix(base: ScenarioConfig,
     """One run per (u1, u2) level, windows kept, efficacies replaced."""
     if not efficacy_levels:
         raise ValueError("need at least one efficacy level")
-    results = []
-    for i, (u1, u2) in enumerate(efficacy_levels):
-        cfg = replace(
-            base,
-            schedule=base.schedule.with_efficacies(u1, u2),
-            label=f"{base.label or 'matrix'}[{i}:u1={u1:g},u2={u2:g}]",
-        )
-        results.append(run(cfg))
-    return results
+    return list(_run_sharing_prefixes([
+        replace(base, schedule=base.schedule.with_efficacies(u1, u2),
+                label=f"{base.label or 'matrix'}[{i}:u1={u1:g},u2={u2:g}]")
+        for i, (u1, u2) in enumerate(efficacy_levels)]))
+
+
+def _run_sharing_prefixes(configs: list[ScenarioConfig]) -> Iterator[ScenarioResult]:
+    """``run(config)`` for each config in turn.  Configs with equal params, mesh
+    start, step and initial bits (-0.0 prints apart from 0.0) agree row for row
+    until their rate runs differ: each copies the longest such prefix of an
+    earlier config, held only until its last copier runs, and marches the rest."""
+    runs = [_rate_runs(c) for c in configs]
+    groups = [(c.params, c.mesh.a, c.mesh.h, c.initial.as_array().tobytes()) for c in configs]
+    sources = []  # (steps shared, index of the config they are copied from)
+    for i, mine in enumerate(runs):
+        best = (0, -1)
+        for j in (j for j in range(i) if groups[j] == groups[i]):
+            for (i0, i1, rates), (_, j1, theirs) in zip(mine, runs[j]):  # never empty lists
+                shared = min(i1, j1) if rates == theirs else i0
+                if (i1, rates) != (j1, theirs):
+                    break
+            best = max(best, (shared, j))
+        sources.append(best)
+    last_use = {j: i for i, (shared, j) in enumerate(sources) if shared}
+    kept = {}
+    for i, (config, (shared, j)) in enumerate(zip(configs, sources)):
+        trajectory = _integrate(config, runs[i], kept[j][:shared + 1] if shared else None)
+        if shared and last_use[j] == i:
+            del kept[j]
+        if i in last_use:
+            kept[i] = trajectory.states
+        yield ScenarioResult(config, trajectory, compute_metrics(trajectory, config.schedule))
 
 
 @dataclass(frozen=True)

@@ -440,12 +440,63 @@ def test_reproduce_files_match_their_recorded_hashes(tmp_path):
     # recorded from the per-value writer; the kernel is IEEE + - * / only
     out = tmp_path / "r"
     assert main(["reproduce", "--h", "0.5", f"--out={out}"]) == 0
-    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-               for name in ("summary.csv", "two-control-u0.5.csv")}
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in out.iterdir()}
     assert digests == {
+        "basic-T0-1000.csv":
+            "5ab517d494f10bbcea0e4cb1f5ca012cd554c20f42a2ad146d69f49c799af600",
+        "basic-T0-1000.metrics.txt":
+            "e8467ee63e456230d91a22e93f80906b5770d5ca597eea669ea929137d33b01a",
+        "basic-T0-1200.csv":
+            "f7b3fbc8e62a94c658305718e5f1e014dcf93acbff0e839bcbe8f2555c956927",
+        "basic-T0-1200.metrics.txt":
+            "8c7d7fdb6fadb7dbef83df24e0ec1a35e8d534637ab44e43e148a361fb4728af",
+        "basic-T0-500.csv": "edbd775d79477180a9f59ee6cfa3d3e2ac1912f4671b479b943ac311b326de49",
+        "basic-T0-500.metrics.txt":
+            "7aab737c1f64e6acaaa41f282b8a1f0e0239f951de0f6fee3f8fcb13654f823f",
+        "basic-T0-800.csv": "bf399b2f9260ee5f5ef36092df1dae87ab3a0f19baba678695fe9205b2f60c8e",
+        "basic-T0-800.metrics.txt":
+            "5b884bb5a67f303cfe782a940e4b5b522c4bccf258e2a66f43da487956de16e9",
+        "combined-u0.4.csv":
+            "316a010b185c1b62a484a7e313940c340d83d54c5605762d85c90dcbaeb28a3c",
+        "combined-u0.4.metrics.txt":
+            "7648ee8df23d9d493b5df91e63b56aec2e4bc6f703fffc9e94c173e69b5df045",
+        "combined-u0.6.csv":
+            "fabb5584a458e5eec45879d51f46050bf0b231e59d80f5d5b425ebba00958992",
+        "combined-u0.6.metrics.txt":
+            "17803904307867dabf461d2a2b237203995d506623cbcb2768f8bc2d511ceb60",
+        "combined-u0.7-continuous.csv":
+            "e458994f19f31107191d1e680989f4db16a2bc761e53ec64b896a09fa0e1ce81",
+        "combined-u0.7-continuous.metrics.txt":
+            "13a5534eb38e8673c499dda7c1c9309889f67337ece5ea7f2b6a4d34a44815c7",
+        "combined-u0.7.csv":
+            "e67695b21f479fe546520880537d6096c7d2840bda237590d93923dfbb028216",
+        "combined-u0.7.metrics.txt":
+            "fc414aa0951221c16aa25945df00631f7b9557c05cb41ec209b86de660bf8331",
+        "combined-u0.csv": "1f1ef8987f4177cdf358d1a4112d1770719c3631d6a787b17a3a0eab6f3948b2",
+        "combined-u0.metrics.txt":
+            "83b7a7bfe4107e2b800e650b44dbbd4670a26cde8ec7fd6f434502749d3796f1",
         "summary.csv": "681a796eb9badb4508eabc597de8adef11b19ebfb62517229e12409bb0652f3f",
+        "two-control-u0.2.csv":
+            "59ef52cd2ba11743365bfc5b57e4e23f608e22d1f44f79be5288ebee3e96b501",
+        "two-control-u0.2.metrics.txt":
+            "0611678e1584e51c7665fcd5ee7cb1ca52c62d77d6a866f66f4b460febf57084",
+        "two-control-u0.3.csv":
+            "807dd0b713795c19d88502837de63798fd31d0a18e7d8cc99b4fe7670f85281a",
+        "two-control-u0.3.metrics.txt":
+            "baceff83f2017a44e669da72ab33b4470b32a0a58764cedae70eafffc65970e8",
+        "two-control-u0.5-continuous.csv":
+            "e9b108e3a62deda07492a4c7131c94441ec879a90b2dcf59b5b86ab472427406",
+        "two-control-u0.5-continuous.metrics.txt":
+            "42f4450270fe77cee1e3e37c513ef62b923e6a15769b2786d856a56581d9c207",
         "two-control-u0.5.csv":
             "ccc1ac64927a94f5576ed8312b792998666372c2a59c2dd5083a1fa2324a78fd",
+        "two-control-u0.5.metrics.txt":
+            "25d79c0d60b24f7b029b61428a1280280ae5ad222f391418da605ad1b102378c",
+        "two-control-u0.csv":
+            "1f1ef8987f4177cdf358d1a4112d1770719c3631d6a787b17a3a0eab6f3948b2",
+        "two-control-u0.metrics.txt":
+            "83b7a7bfe4107e2b800e650b44dbbd4670a26cde8ec7fd6f434502749d3796f1",
     }
 
 

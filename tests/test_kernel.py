@@ -3,11 +3,12 @@ edges on mesh points, and the generic integrator as its reference."""
 
 import json
 import math
+import random
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from viradyn import (
     DEFAULT_INITIAL,
@@ -23,10 +24,12 @@ from viradyn import (
     reference_scenarios,
     rk4_step,
     run,
+    run_matrix,
     vector_field,
 )
 from viradyn.cli import main
 from viradyn.errors import IntegrationBlowupError
+from viradyn.scenario import _run_sharing_prefixes
 
 PARAMS = ModelParams()
 
@@ -179,6 +182,22 @@ def test_window_edges_at_the_mesh_ends_accepted():
     assert config.schedule.segments[0].t_end == 13.7
 
 
+def test_window_covering_no_step_rejected():
+    # both edges map to mesh index 1000
+    with pytest.raises(ValueError, match=r"window \[100.0, 100.0000000001\) covers no step "
+                                         r"of the mesh \[0.0, 600.0\] with step h=0.1"):
+        ScenarioConfig(ModelKind.TWO_CONTROL, PARAMS, MeshSpec(0.0, 600.0, 0.1),
+                       DEFAULT_INITIAL, EfficacySchedule.window(100.0, 100.0000000001, 0.9, 0.9))
+
+
+def test_window_covering_no_step_exits_two_and_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "empty.csv"
+    assert main(["simulate", "--model=two-control", "--t1=600",
+                 "--treat=100:100.0000000001:0.9:0.9", f"--out={out}"]) == 2
+    assert "covers no step" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_off_mesh_window_exits_two_and_writes_nothing(tmp_path):
     out = tmp_path / "off.csv"
     assert main(["simulate", "--model=two-control", "--t1=600",
@@ -233,3 +252,81 @@ def test_metrics_accept_a_window_ending_on_a_last_time_rounded_below_it():
     assert result.trajectory.times[-1] < 490.0
     treated = result.trajectory.states[500:700, 2]
     assert result.metrics.min_viral_load_during_treatment == treated.min()
+
+
+# --- shared prefixes are marched once, with the bits of a standalone run --------------------
+
+def assert_equals_standalone_runs(configs, results):
+    results = list(results)
+    assert len(results) == len(configs)
+    for config, result in zip(configs, results):
+        alone = run(config)
+        assert result.config == config
+        assert np.array_equal(result.trajectory.times, alone.trajectory.times), config.label
+        assert np.array_equal(result.trajectory.states, alone.trajectory.states), config.label
+        assert result.trajectory.states.tobytes() == alone.trajectory.states.tobytes()
+        assert result.metrics == alone.metrics, config.label
+
+
+START_POOLS = ((PARAMS, ModelParams(beta=3e-5)), (0.1, 0.2),
+               (DEFAULT_INITIAL, SystemState(800.0, 10.0, 70.0)))
+
+
+@st.composite
+def configs_from_a_shared_pool(draw):
+    """Configs from two starts (params, step, initial state) that differ in
+    at most one field, with one treated level, so many configs share rows
+    and windows with equal rates often open at different steps."""
+    first = [draw(st.sampled_from(pool)) for pool in START_POOLS]
+    second = list(first)
+    field = draw(st.integers(0, 2))
+    second[field] = draw(st.sampled_from(START_POOLS[field]))
+    configs = []
+    for _ in range(draw(st.integers(1, 5))):
+        params, h, initial = draw(st.sampled_from([first, second]))
+        marks = sorted(draw(st.lists(st.sampled_from([0.0, 50.0, 150.0, 250.0, 400.0]),
+                                     max_size=4)))
+        windows = [TreatmentWindow(t0, t1, *draw(st.sampled_from([(0.0, 0.0), (0.3, 0.6)])))
+                   for t0, t1 in zip(marks[::2], marks[1::2]) if t0 < t1]
+        configs.append(ScenarioConfig(
+            draw(st.sampled_from(list(ModelKind))), params,
+            MeshSpec(0.0, draw(st.sampled_from([400.0, 600.0])), h), initial,
+            EfficacySchedule(tuple(windows)), label=f"pool-{len(configs)}"))
+    return configs
+
+
+def _two_control(t_end, *windows, initial=DEFAULT_INITIAL):
+    return ScenarioConfig(ModelKind.TWO_CONTROL, PARAMS, MeshSpec(0.0, t_end, 0.1),
+                          initial, EfficacySchedule(tuple(
+                              TreatmentWindow(t0, t1, 0.3, 0.6) for t0, t1 in windows)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(configs=configs_from_a_shared_pool())
+# equal rates opening at different steps share only the rows before the first
+@example(configs=[_two_control(400.0, (50.0, 150.0)), _two_control(600.0, (150.0, 250.0))])
+# touching windows of equal rates march as one window
+@example(configs=[_two_control(400.0, (50.0, 150.0), (150.0, 250.0)),
+                  _two_control(400.0, (50.0, 250.0)), _two_control(600.0)])
+# -0.0 == 0.0, but the two start states print apart
+@example(configs=[_two_control(400.0),
+                  _two_control(400.0, initial=SystemState(1200.0, -0.0, 100.0))])
+def test_shared_prefixes_equal_standalone_runs(configs):
+    assert_equals_standalone_runs(configs, _run_sharing_prefixes(configs))
+
+
+def test_reference_suite_with_shared_prefixes_equals_standalone_runs():
+    configs = reference_scenarios()
+    assert_equals_standalone_runs(configs, _run_sharing_prefixes(configs))
+
+
+@pytest.mark.parametrize("kind", list(ModelKind))
+def test_run_matrix_equals_standalone_runs(kind):
+    rng = random.Random(kind.value)
+    levels = [(round(rng.random(), 4), round(rng.random(), 4)) for _ in range(14)]
+    base = ScenarioConfig(kind, PARAMS, MeshSpec(0.0, 600.0, 0.1), DEFAULT_INITIAL,
+                          EfficacySchedule.window(150.0, 400.0, 0.0, 0.0), label="matrix")
+    results = run_matrix(base, levels)
+    configs = [replace(base, schedule=base.schedule.with_efficacies(u1, u2), label=r.config.label)
+               for (u1, u2), r in zip(levels, results)]
+    assert_equals_standalone_runs(configs, results)
