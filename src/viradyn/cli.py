@@ -179,55 +179,36 @@ def _schedule(windows, kind: ModelKind, where: str) -> EfficacySchedule:
 # defaults on every parse, so one parser serves every call
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    common = _Parser(add_help=False)
-    common.add_argument("--model", type=_model_arg, default=None,
+    commands = "".join(f"\n  {name:<10} {fn.__doc__}" for name, fn in _COMMANDS.items())
+    parser = _Parser(prog="viradyn", formatter_class=argparse.RawDescriptionHelpFormatter,
+                     description="Within-host viral dynamics simulator and analyzer",
+                     epilog="commands:" + commands)
+    parser.add_argument("command", choices=_COMMANDS, help="the command to run (listed below)")
+    parser.add_argument("--model", type=_model_arg,
                         help="model variant: basic, two-control, or combined")
-    common.add_argument("--config", type=Path, default=None,
-                        help="JSON scenario file; flags override its values")
-    common.add_argument("--param", type=_param_arg, action="append", default=[],
-                        metavar="KEY=VAL", help="override a rate constant (repeatable)")
-    common.add_argument("--t0", type=_float_arg, default=None, help="start time (day)")
-    common.add_argument("--t1", type=_float_arg, default=None, help="end time (day)")
-    common.add_argument("--h", type=_float_arg, default=None, help="mesh step (day)")
-    common.add_argument("--init", type=_init_arg, default=None, metavar="T,TSTAR,V",
-                        help="initial state")
-    common.add_argument("--treat", type=_treat_arg, action="append", default=[],
+    parser.add_argument("--config", dest="config_path", type=Path,
+                        metavar="CONFIG", help="JSON scenario file; flags override its values")
+    parser.add_argument("--param", dest="param_overrides", type=_param_arg, action="append",
+                        default=[], metavar="KEY=VAL",
+                        help="override a rate constant (repeatable)")
+    parser.add_argument("--t0", type=_float_arg, help="start time (day)")
+    parser.add_argument("--t1", type=_float_arg, help="end time (day)")
+    parser.add_argument("--h", type=_float_arg, help="mesh step (day)")
+    parser.add_argument("--init", type=_init_arg, metavar="T,TSTAR,V", help="initial state")
+    parser.add_argument("--treat", type=_treat_arg, action="append", default=[],
                         metavar="START:END:U1[:U2]",
                         help="treatment window, half-open (repeatable); a single "
                              "efficacy binds to u2 for the combined model")
-    common.add_argument("--out", type=Path, default=None, help="output path")
-
-    parser = _Parser(prog="viradyn",
-                     description="Within-host viral dynamics simulator and analyzer")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    sub.add_parser("simulate", parents=[common],
-                   help="integrate a scenario and write the trajectory CSV")
-    sub.add_parser("analyze", parents=[common],
-                   help="report equilibria, Jacobians, eigenvalues, stability")
-    sub.add_parser("linearize", parents=[common],
-                   help="compare the nonlinear flow with its linearization")
-    sub.add_parser("reproduce", parents=[common],
-                   help="run the built-in scenario suite into a directory")
+    parser.add_argument("--out", type=Path, help="output path")
     return parser
 
 
 def parse_args(argv: list[str]) -> CliConfig:
-    """Parse flags into a CliConfig, raising UsageError on bad input."""
-    ns = _build_parser().parse_args(argv)
-    treat = tuple(ns.treat)
-    _schedule(treat, ModelKind.BASIC, "--treat")  # the kind is known once resolved
-    return CliConfig(
-        command=ns.command,
-        config_path=ns.config,
-        model=ns.model,
-        param_overrides=tuple(ns.param),
-        t0=ns.t0,
-        t1=ns.t1,
-        h=ns.h,
-        init=ns.init,
-        treat=treat,
-        out=ns.out,
-    )
+    """Parse flags, before or after the command, into a CliConfig; UsageError on bad input."""
+    ns = vars(_build_parser().parse_args(argv))
+    cli = CliConfig(**{key: tuple(x) if isinstance(x, list) else x for key, x in ns.items()})
+    _schedule(cli.treat, ModelKind.BASIC, "--treat")  # the kind is known once resolved
+    return cli
 
 
 # ---------------------------------------------------------------------------
@@ -425,6 +406,7 @@ def _say(text: str) -> None:
 
 
 def _cmd_simulate(cli: CliConfig) -> int:
+    """integrate a scenario and write the trajectory CSV"""
     config = resolve_scenario(cli)
     result = run(config)
     out = emit_trajectory(result, cli.out or Path("trajectory.csv"))
@@ -435,6 +417,7 @@ def _cmd_simulate(cli: CliConfig) -> int:
 
 
 def _cmd_analyze(cli: CliConfig) -> int:
+    """report equilibria, Jacobians, eigenvalues, stability"""
     config = resolve_scenario(cli)
     segments = config.schedule.segments
     efficacies = (segments[0].u1, segments[0].u2) if segments else (0.0, 0.0)
@@ -445,6 +428,7 @@ def _cmd_analyze(cli: CliConfig) -> int:
 
 
 def _cmd_linearize(cli: CliConfig) -> int:
+    """compare the nonlinear flow with its linearization"""
     config = resolve_scenario(cli)
     if cli.init is not None:
         perturbation = np.asarray(cli.init) - infected_equilibrium(config.params).as_array()
@@ -466,6 +450,7 @@ def _cmd_linearize(cli: CliConfig) -> int:
 
 
 def _cmd_reproduce(cli: CliConfig) -> int:
+    """run the built-in scenario suite into a directory"""
     config = resolve_scenario(cli)  # only the parameters and h matter here
     scenarios = reference_scenarios(config.params, h=config.mesh.h)  # checks h on each mesh
     out_dir = cli.out or Path("reproduction")

@@ -79,6 +79,23 @@ def test_missing_command_rejected():
         parse_args([])
 
 
+def test_flags_may_come_before_the_command():
+    assert parse_args(["--t1=5", "simulate"]) == parse_args(["simulate", "--t1=5"])
+    assert parse_args(["--model=combined", "analyze", "--treat=1:2:0.5"]).command == "analyze"
+
+
+def test_help_lists_every_command_with_its_help(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["-h"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for name, text in [("simulate", "integrate a scenario and write the trajectory CSV"),
+                       ("analyze", "report equilibria, Jacobians, eigenvalues, stability"),
+                       ("linearize", "compare the nonlinear flow with its linearization"),
+                       ("reproduce", "run the built-in scenario suite into a directory")]:
+        assert re.search(rf"^ +{name} +{re.escape(text)}$", out, re.MULTILINE), name
+
+
 # --- round-trip property --------------------------------------------------------
 
 clean_float = st.floats(min_value=-1e6, max_value=1e6,
