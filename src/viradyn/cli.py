@@ -56,6 +56,7 @@ _CONFIG_SECTIONS = {"params": _PARAM_NAMES, "mesh": _field_names(MeshSpec),
                     "initial": _field_names(SystemState)}
 _WINDOW_KEYS = _field_names(TreatmentWindow)
 _CONFIG_KEYS = ("kind", *_CONFIG_SECTIONS, "schedule", "label")
+_JSON_TYPES = {"object": dict, "list": list, "number": (int, float), "string": str}
 _METRIC_KEYS = (
     "final_T", "final_Tstar", "final_V",
     "peak_viral_load", "peak_viral_load_day",
@@ -92,18 +93,13 @@ class CliConfig:
             argv.append(f"--model={self.model.value}")
         if self.config_path is not None:
             argv.append(f"--config={self.config_path}")
-        for name, value in self.param_overrides:
-            argv.append(f"--param={name}={value!r}")
+        argv += [f"--param={name}={value!r}" for name, value in self.param_overrides]
         for flag, value in (("--t0", self.t0), ("--t1", self.t1), ("--h", self.h)):
             if value is not None:
                 argv.append(f"{flag}={value!r}")
         if self.init is not None:
             argv.append("--init=" + ",".join(repr(x) for x in self.init))
-        for start, end, u1, u2 in self.treat:
-            spec = f"{start!r}:{end!r}:{u1!r}"
-            if u2 is not None:
-                spec += f":{u2!r}"
-            argv.append(f"--treat={spec}")
+        argv += ["--treat=" + ":".join(repr(x) for x in w if x is not None) for w in self.treat]
         if self.out is not None:
             argv.append(f"--out={self.out}")
         return argv
@@ -215,18 +211,24 @@ def parse_args(argv: list[str]) -> CliConfig:
 # configuration resolution: defaults <- JSON file <- flags
 
 
+def _checked(x, kind: str, where: str):
+    """``x``, once it is a JSON ``kind``; true and false are not numbers."""
+    if isinstance(x, bool) or not isinstance(x, _JSON_TYPES[kind]):
+        raise UsageError(f"--config: {where} must be a JSON {kind}")
+    return x
+
+
 def _section(value, name: str, keys: tuple[str, ...]) -> dict:
     """``value`` itself, once it is a JSON object holding only ``keys``."""
-    if not isinstance(value, dict):
-        raise UsageError(f"--config: {name} must be a JSON object")
-    unknown = set(value) - set(keys)
+    unknown = set(_checked(value, "object", name)) - set(keys)
     if unknown:
         raise UsageError(f"--config: unknown keys {sorted(unknown)} in {name}")
     return value
 
 
 def _floats(value, name: str, keys: tuple[str, ...]) -> dict[str, float]:
-    return {key: float(x) for key, x in _section(value, name, keys).items()}
+    return {key: float(_checked(x, "number", f"{name}.{key}"))
+            for key, x in _section(value, name, keys).items()}
 
 
 def _load_config_file(path: Path) -> dict:
@@ -243,14 +245,12 @@ def _load_config_file(path: Path) -> dict:
         if "initial" in layer:
             layer["initial"] = SystemState(**layer["initial"])
         if "kind" in raw:
-            layer["kind"] = _model_arg(str(raw["kind"]))
+            layer["kind"] = _model_arg(_checked(raw["kind"], "string", "kind"))
         if "label" in raw:
-            layer["label"] = str(raw["label"])
+            layer["label"] = _checked(raw["label"], "string", "label")
         if "schedule" in raw:
-            if not isinstance(raw["schedule"], list):
-                raise UsageError("--config: schedule must be a JSON list")
             windows = [_floats(w, f"schedule[{i}]", _WINDOW_KEYS)
-                       for i, w in enumerate(raw["schedule"])]
+                       for i, w in enumerate(_checked(raw["schedule"], "list", "schedule"))]
             layer["schedule"] = [tuple(w[key] for key in _WINDOW_KEYS) for w in windows]
     except UsageError:
         raise
@@ -258,7 +258,7 @@ def _load_config_file(path: Path) -> dict:
         raise UsageError(f"--config: {err}") from None
     except KeyError as err:
         raise UsageError(f"--config: a schedule window has no {err}") from None
-    except (TypeError, ValueError) as err:
+    except (TypeError, ValueError, OverflowError) as err:
         raise UsageError(f"--config: malformed value in {path}: {err}") from None
     return layer
 

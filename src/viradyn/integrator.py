@@ -30,6 +30,7 @@ VectorField = Callable[[float, np.ndarray], np.ndarray]
 DEFAULT_STEP = 0.1
 
 _REL_TOL = 1e-9  # mesh uniformity / divisibility tolerance
+_SPACING_BLOCK = 1 << 16  # mesh times per spacing check, to bound its memory
 
 
 def mesh_index(a: float, t: float, h: float) -> int | None:
@@ -41,6 +42,14 @@ def mesh_index(a: float, t: float, h: float) -> int | None:
     n = (t - a) / h
     i = round(n)
     return i if abs(n - i) <= _REL_TOL * i else None
+
+
+def _check_spacing(times: np.ndarray, h: float, what: str) -> None:
+    """ValueError naming ``what`` unless every step of ``times`` is within 1e-9 relative of h."""
+    steps = np.diff(times)
+    off = np.abs(steps - h) > _REL_TOL * h
+    if off.any():
+        raise ValueError(f"{what} must be uniformly spaced; one step is {float(steps[off][0])!r}")
 
 
 @dataclass(frozen=True)
@@ -65,13 +74,21 @@ class MeshSpec:
                 f"step h={self.h!r} does not divide [{self.a}, {self.b}] into an "
                 f"integral number of steps (got {(self.b - self.a) / self.h!r})"
             )
+        # each time a + i*h is within 3 * 2**-53 * max(|a|, |b|) of exact, so two steps
+        # differ by 1e-9 relative only past this bound, and never if every time is exact
+        (ap, aq), (hp, hq) = float(self.a).as_integer_ratio(), float(self.h).as_integer_ratio()
+        exact = hq % aq == 0 and abs(ap * (hq // aq)) + n * hp < 2**53
+        if max(abs(self.a), abs(self.b)) * 2.0**-49 > _REL_TOL * self.h and not exact:
+            for i in range(0, n, _SPACING_BLOCK):  # against the first step of times()
+                _check_spacing(self.times(i, min(i + _SPACING_BLOCK, n)), self.a + self.h - self.a,
+                               f"the times of mesh [{self.a}, {self.b}] with step h={self.h!r}")
 
     @property
     def n_steps(self) -> int:
         return round((self.b - self.a) / self.h)
 
-    def times(self) -> np.ndarray:
-        return self.a + np.arange(self.n_steps + 1) * self.h
+    def times(self, first: int = 0, last: int | None = None) -> np.ndarray:
+        return self.a + np.arange(first, (self.n_steps if last is None else last) + 1) * self.h
 
 
 @dataclass(frozen=True)
@@ -90,12 +107,9 @@ class Trajectory:
         states = np.asarray(self.states, dtype=float)
         if states.ndim != 2 or len(times) != len(states):
             raise ValueError("states must be a 2-D array with one row per mesh time")
-        steps = np.diff(times)
-        if len(steps) == 0 or steps[0] <= 0.0:
+        if len(times) < 2 or times[1] - times[0] <= 0.0:
             raise ValueError("trajectory needs at least two strictly increasing times")
-        h = steps[0]
-        if np.any(np.abs(steps - h) > _REL_TOL * h):
-            raise ValueError("trajectory times must be uniformly spaced")
+        _check_spacing(times, times[1] - times[0], "trajectory times")
         times.flags.writeable = False
         states.flags.writeable = False
         object.__setattr__(self, "times", times)
@@ -115,9 +129,10 @@ def rk4_step(f: VectorField, t: float, w: np.ndarray, h: float) -> np.ndarray:
 
     Stage vectors are computed in order k1, k2, k3, k4 (every component
     of a stage is available before the next stage is evaluated) and the
-    update is w + (k1 + 2*k2 + 2*k3 + k4)/6.  A non-finite stage raises
-    :class:`IntegrationBlowupError` carrying t and the stage number; a
-    non-finite update from finite stages is reported as stage k4.
+    update is w + (k1 + 2*k2 + 2*k3 + k4)/6.  A non-finite stage or stage
+    input raises :class:`IntegrationBlowupError` carrying t and the stage
+    number, without a warning; a non-finite update from finite stages is
+    reported as stage k4.
     """
     if h <= 0.0:
         raise ValueError(f"step must be positive, got {h!r}")
@@ -125,15 +140,15 @@ def rk4_step(f: VectorField, t: float, w: np.ndarray, h: float) -> np.ndarray:
     if not np.all(np.isfinite(w)):
         raise ValueError("state passed to rk4_step must be finite")
 
-    k1 = h * np.asarray(f(t, w), dtype=float)
-    _check_stage(k1, t, 1)
-    k2 = h * np.asarray(f(t + 0.5 * h, w + 0.5 * k1), dtype=float)
-    _check_stage(k2, t, 2)
-    k3 = h * np.asarray(f(t + 0.5 * h, w + 0.5 * k2), dtype=float)
-    _check_stage(k3, t, 3)
-    k4 = h * np.asarray(f(t + h, w + k3), dtype=float)
-    _check_stage(k4, t, 4)
-    w_next = w + (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+    ks = []
+    with np.errstate(over="ignore", invalid="ignore"):  # raised as blowups below instead
+        for stage, c in enumerate((0.0, 0.5, 0.5, 1.0), 1):
+            w_stage = w + c * ks[-1] if ks else w
+            _check_stage(w_stage, t, stage)
+            ks.append(h * np.asarray(f(t + c * h, w_stage), dtype=float))
+            _check_stage(ks[-1], t, stage)
+        k1, k2, k3, k4 = ks
+        w_next = w + (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
     _check_stage(w_next, t, 4)
     return w_next
 

@@ -86,8 +86,7 @@ class ScenarioConfig:
     label: str = ""
 
     def __post_init__(self):
-        for name, value in (("T", self.initial.T), ("T_star", self.initial.T_star),
-                            ("V", self.initial.V)):
+        for name, value in vars(self.initial).items():
             if value < 0.0:
                 raise ValueError(f"initial {name} must be non-negative, got {value!r}")
         _window_steps(self.schedule, self.mesh)

@@ -325,6 +325,29 @@ def test_numerical_failure_exits_three(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_overflowing_stage_input_names_the_step_stage_and_scenario(tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    assert main(["simulate", "--init=1.7e308,0,0", "--param=s=1.7e308", "--param=d=1e-300",
+                 "--h=1", "--t1=2", f"--out={out}"]) == 3
+    assert capsys.readouterr().err == ("numerical failure: integration blew up "
+                                       "(t=0, stage k2, step 0, scenario 'cli')\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["simulate", "analyze"])
+@pytest.mark.parametrize("t0, t1", [("1e6", "1000400"), ("-1e6", "-999600")])
+def test_mesh_whose_float_times_are_not_uniform_exits_two(tmp_path, capsys, command, t0, t1):
+    out = tmp_path / "out.csv"
+    assert main([command, f"--t0={t0}", f"--t1={t1}", f"--out={out}"]) == 2
+    mesh = f"mesh [{float(t0)}, {float(t1)}] with step h=0.1 must be uniformly spaced"
+    assert mesh in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_mesh_far_from_zero_with_uniform_float_times_still_runs(tmp_path):
+    assert main(["simulate", "--t0=1e5", "--t1=100400", f"--out={tmp_path / 'o.csv'}"]) == 0
+
+
 def test_reproduce_writes_summary_and_per_scenario_files(tmp_path):
     out_dir = tmp_path / "repro"
     # a coarse mesh keeps this test quick; the full-resolution suite is
@@ -370,6 +393,28 @@ def test_unknown_key_inside_a_config_section_exits_two(tmp_path, capsys, doc, ke
     err = capsys.readouterr().err
     assert "--config" in err and repr(key) in err
     assert list(tmp_path.glob("*.csv")) == []
+
+
+@pytest.mark.parametrize("doc, where", [
+    ({"params": {"s": True}}, "params.s"),
+    ({"mesh": {"b": "600"}}, "mesh.b"),
+    ({"initial": {"T": "1200", "T_star": False, "V": "100"}}, "initial.T"),
+    ({"schedule": [{"t_start": 150.0, "t_end": 400.0, "u1": True, "u2": 0.5}]},
+     "schedule[0].u1"),
+    ({"kind": 5}, "kind"),
+    ({"label": None}, "label"),
+], ids=["bool-param", "string-mesh", "string-initial", "bool-window", "number-kind",
+        "null-label"])
+def test_config_value_of_the_wrong_json_type_exits_two(tmp_path, capsys, doc, where):
+    assert _run_config(tmp_path, doc) == 2
+    assert f"error: --config: {where} must be a JSON " in capsys.readouterr().err
+    assert list(tmp_path.glob("*.csv")) == []
+
+
+def test_config_integers_are_numbers_unless_too_large_for_a_float(tmp_path, capsys):
+    assert _run_config(tmp_path, {"mesh": {"a": 0, "b": 20, "h": 1}, "label": "ints"}) == 0
+    assert _run_config(tmp_path, {"params": {"s": 10 ** 400}}) == 2
+    assert "error: --config: malformed value" in capsys.readouterr().err
 
 
 # --- the reader of stdout, and the frozen efficacies of analyze ------------------

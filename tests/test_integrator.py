@@ -4,11 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from viradyn import MeshSpec, Trajectory, integrate, rk4_step
 from viradyn.errors import IntegrationBlowupError
-from viradyn.integrator import negative_components
+from viradyn.integrator import mesh_index, negative_components
 
 
 def decay(t, w):
@@ -40,6 +40,42 @@ def test_mesh_accepts_inexact_but_near_integral_division():
     assert times[-1] == pytest.approx(400.0, rel=1e-9)
 
 
+@pytest.mark.parametrize("a, b", [(1e6, 1000400.0), (-1e6, -999600.0)])
+def test_mesh_whose_float_times_are_not_uniform_is_rejected(a, b):
+    # far from 0 the float times a + i*h drift more than 1e-9 relative from
+    # uniform; the mesh is refused before anything is integrated on it
+    with pytest.raises(ValueError, match=rf"mesh \[{a}, {b}\] with step h=0.1 must be "
+                                         "uniformly spaced"):
+        MeshSpec(a, b, 0.1)
+
+
+def test_meshes_far_from_zero_with_uniform_float_times_are_accepted():
+    mesh = MeshSpec(1e5, 100400.0, 0.1)  # checked step by step, and uniform
+    Trajectory(mesh.times(), np.zeros((mesh.n_steps + 1, 1)))
+    assert MeshSpec(0.0, 1e12, 0.125).n_steps == 8 * 10**12  # exact times, not scanned
+
+
+@given(exponent=st.floats(0.0, 7.5), sign=st.sampled_from([1.0, -1.0]),
+       h=st.sampled_from([0.1, 0.05, 0.125, 1 / 3, 0.001, 7.0]), n=st.integers(1, 2000))
+def test_mesh_accepts_exactly_the_meshes_whose_times_make_a_trajectory(exponent, sign, h, n):
+    a = sign * float(round(10.0 ** exponent))
+    b = a + n * h
+    times = a + np.arange(n + 1) * h
+    assume(a < b and mesh_index(a, b, h) == n)
+    try:
+        Trajectory(times, np.zeros((n + 1, 1)))
+        trajectory_ok = True
+    except ValueError:
+        trajectory_ok = False
+    try:
+        MeshSpec(a, b, h)
+        mesh_ok = True
+    except ValueError as err:
+        assert "uniformly spaced" in str(err)
+        mesh_ok = False
+    assert mesh_ok == trajectory_ok
+
+
 # --- rk4_step ---------------------------------------------------------------
 
 def test_zero_field_leaves_state_unchanged():
@@ -69,6 +105,23 @@ def test_stage_blowup_reports_time_and_stage():
         rk4_step(exploding, 3.0, np.array([1.0]), 0.1)
     assert exc.value.t == 3.0
     assert exc.value.stage == 1
+
+
+def test_overflowing_stage_input_is_a_blowup_of_that_stage():
+    # k1 is finite, but the input of k2, w + 0.5*k1, overflows; the field
+    # itself rejects non-finite states, so the step must stop before it
+    from viradyn import ModelParams
+    from viradyn.model import rhs_at_rates
+
+    params = ModelParams(s=1.7e308, d=1e-300)
+    f = lambda t, w: rhs_at_rates(params, params.beta, params.k, w)
+    w0 = np.array([1.7e308, 0.0, 0.0])
+    with pytest.raises(IntegrationBlowupError) as exc:
+        rk4_step(f, 0.0, w0, 1.0)
+    assert (exc.value.t, exc.value.stage) == (0.0, 2)
+    with pytest.raises(IntegrationBlowupError) as exc:
+        integrate(f, MeshSpec(0.0, 2.0, 1.0), w0)
+    assert (exc.value.t, exc.value.stage, exc.value.step) == (0.0, 2, 0)
 
 
 def test_nonpositive_step_rejected():
