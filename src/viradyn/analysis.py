@@ -195,55 +195,88 @@ def _polish_root(z: complex, a: float, b: float, c: float) -> complex:
     return z
 
 
-def _null_space(B: np.ndarray, count: int, tol: float) -> list[np.ndarray]:
-    """Null-space basis of a numerically singular 3x3 complex matrix.
+def _null_space(B: list[list[float]], mu: complex, count: int,
+                tol: float) -> list[list[complex]]:
+    """Up to ``count`` null-space basis vectors of B - mu*I, for the rows of a 3x3 B.
 
     Gaussian elimination with partial pivoting; columns whose pivot falls
     below ``tol`` are free and each yields one basis vector.  When the
     eigenvalue is known to be simple but rounding left every pivot above
-    the tolerance, the weakest (last) pivot is released instead.
+    the tolerance, the weakest pivot is released instead.
     """
-    n = 3
-    U = B.astype(complex, copy=True)
+    U = [row[:] for row in B]
+    for r in range(3):
+        U[r][r] -= mu
     pivots: list[tuple[int, int]] = []  # (row, col) in echelon order
-    row = 0
-    for col in range(n):
-        lead = row + int(np.argmax(np.abs(U[row:, col])))
-        if abs(U[lead, col]) <= tol:
-            U[row:, col] = 0.0
-            continue
-        if lead != row:
-            U[[row, lead]] = U[[lead, row]]
-        for r in range(row + 1, n):
-            factor = U[r, col] / U[row, col]
-            U[r, col:] -= factor * U[row, col:]
-            U[r, col] = 0.0
+    for col in range(3):
+        row = lead = len(pivots)
+        biggest = -1.0
+        for r in range(row, 3):
+            if abs(U[r][col]) > biggest:
+                lead, biggest = r, abs(U[r][col])
+        if biggest <= tol:
+            continue  # a free column
+        U[row], U[lead] = U[lead], U[row]
+        top = U[row]
+        for r in range(row + 1, 3):  # entries left of col + 1 are never read again
+            factor = U[r][col] / top[col]
+            U[r] = [x - factor * y for x, y in zip(U[r], top)]
         pivots.append((row, col))
-        row += 1
 
     pivot_cols = {col for _, col in pivots}
-    free_cols = [col for col in range(n) if col not in pivot_cols]
-    if len(free_cols) < count:
-        if count == 1:
-            # matrix is singular in exact arithmetic: release the last pivot
-            row, col = pivots.pop()
-            U[row, :] = 0.0
-            free_cols.append(col)
-            free_cols.sort()
-        else:
-            raise DefectiveMatrixError(
-                f"eigenspace has dimension {len(free_cols)}, need {count}"
-            )
+    free_cols = [col for col in range(3) if col not in pivot_cols]
+    if not free_cols and count == 1:
+        # matrix is singular in exact arithmetic: release the weakest pivot
+        weakest = min(pivots, key=lambda rc: abs(U[rc[0]][rc[1]]))
+        pivots.remove(weakest)
+        free_cols = [weakest[1]]
 
     basis = []
     for free in free_cols[:count]:
-        x = np.zeros(n, dtype=complex)
+        x: list[complex] = [0.0, 0.0, 0.0]
         x[free] = 1.0
-        for row, col in reversed(pivots):
-            acc = U[row, col + 1:] @ x[col + 1:]
-            x[col] = -acc / U[row, col]
+        for row, col in reversed(pivots):  # back substitution
+            u = U[row]
+            x[col] = -sum([u[j] * x[j] for j in range(col + 1, 3)], 0.0) / u[col]
         basis.append(x)
     return basis
+
+
+def _det3(m) -> complex:
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = m
+    return (m00 * (m11 * m22 - m12 * m21)
+            - m01 * (m10 * m22 - m12 * m20)
+            + m02 * (m10 * m21 - m11 * m20))
+
+
+def _sorted_roots(B: list[list[float]], snap_tol: float) -> tuple[list[complex], float]:
+    """Eigenvalues of B as roots of its characteristic polynomial, in eigen3's
+    order, and the largest distance between two roots before their polish.
+
+    Imaginary parts within ``snap_tol`` of zero are round-off and dropped.
+    """
+    (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = B
+    # x^3 + a*x^2 + b*x + c
+    a = -(b00 + b11 + b22)
+    b = b11 * b22 - b12 * b21 + b00 * b22 - b02 * b20 + b00 * b11 - b01 * b10
+    c = -_det3(B)
+    roots = _cubic_roots(a, b, c)
+    spread = max(abs(roots[i] - roots[i - 1]) for i in range(3))  # each pair once
+    roots = (_polish_root(z, a, b, c) for z in roots)
+    return sorted((complex(z.real) if abs(z.imag) <= snap_tol else z for z in roots),
+                  key=lambda z: (-z.real, -abs(z.imag), -z.imag)), spread
+
+
+def _rayleigh_refined(B: list[list[float]], z: float) -> tuple[float, list[float]]:
+    """A real eigenpair of B near the simple root z, by Rayleigh quotient iteration.
+
+    The quotient v.Bv / v.v of a vector v is the value that minimizes |Bv - zv|.
+    """
+    for _ in range(3):
+        (v,) = _null_space(B, z, 1, 0.0)  # no tolerance: z may lie within it of another root
+        Bv = [sum([b * x for b, x in zip(row, v)]) for row in B]
+        z = sum([x * y for x, y in zip(v, Bv)]) / sum([x * x for x in v])
+    return z, v
 
 
 def eigen3(A: np.ndarray) -> EigenDecomposition:
@@ -252,53 +285,78 @@ def eigen3(A: np.ndarray) -> EigenDecomposition:
     Eigenvalues are sorted by descending real part; on a tie a conjugate
     pair comes before a real eigenvalue, the positive imaginary part
     first, so pairs are always adjacent.  Each eigenvector is scaled so
-    its last nonzero component is exactly 1.  A repeated eigenvalue with
-    a rank-deficient eigenspace raises :class:`DefectiveMatrixError`
+    its last nonzero component is exactly 1.  Roots the cubic places only
+    roughly, in a cluster, are solved again from A - (tr A/3)*I or refined
+    by Rayleigh quotient iteration.  A repeated eigenvalue with a
+    rank-deficient eigenspace raises :class:`DefectiveMatrixError`
     instead of returning invalid vectors.
     """
     A = np.asarray(A, dtype=float)
     if A.shape != (3, 3):
         raise ValueError(f"expected a 3x3 matrix, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
+    rows = A.tolist()
+    entries = rows[0] + rows[1] + rows[2]
+    if not all(map(math.isfinite, entries)):
         raise ValueError("matrix entries must be finite")
 
-    scale = float(np.max(np.abs(A)))
+    scale = max(map(abs, entries))
     if scale == 0.0:
         return EigenDecomposition(np.zeros(3, dtype=complex), np.eye(3, dtype=complex))
-    B = A / scale
-
-    # characteristic polynomial of B: x^3 + a*x^2 + b*x + c
-    (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = B.tolist()
-    a = -(b00 + b11 + b22)
-    b = b11 * b22 - b12 * b21 + b00 * b22 - b02 * b20 + b00 * b11 - b01 * b10
-    c = -(b00 * (b11 * b22 - b12 * b21)
-          - b01 * (b10 * b22 - b12 * b20)
-          + b02 * (b10 * b21 - b11 * b20))
-
     # every eigenvalue of the unit-scaled B has |z| <= 3, so one absolute
     # tolerance both snaps round-off off the real axis and groups repeats
     group_tol = 1e-7
     rank_tol = 1e-8
-    roots = (_polish_root(z, a, b, c) for z in _cubic_roots(a, b, c))
-    lam = sorted((complex(z.real) if abs(z.imag) <= group_tol else z for z in roots),
-                 key=lambda z: (-z.real, -abs(z.imag), -z.imag))
+    B = [[x / scale for x in row] for row in rows]
+    lam, spread = _sorted_roots(B, group_tol)
+    shift = 0.0
+    clustered = spread < 1e-4
+    if clustered:
+        # the cubic blurs a cluster of roots; A - (tr A/3)*I has them apart
+        shift = (rows[0][0] + rows[1][1] + rows[2][2]) / 3.0
+        for r in range(3):
+            rows[r][r] -= shift
+        scale = max(abs(x) for row in rows for x in row)
+        if scale == 0.0:  # A is shift * I
+            return EigenDecomposition(np.full(3, shift, dtype=complex), np.eye(3, dtype=complex))
+        B = [[x / scale for x in row] for row in rows]
+        lam, _ = _sorted_roots(B, group_tol)
 
-    vectors: list[np.ndarray] = []
+    values: list[complex] = []
+    vectors: list[list[complex]] = []
     for i, z in enumerate(lam):
         if z.imag < 0.0:  # its conjugate sorts just before it
-            vectors.append(np.conj(vectors[-1]))
+            values.append(z)
+            vectors.append([x.conjugate() for x in vectors[-1]])
         elif len(vectors) == i:  # else z is a repeat of the previous root
-            # only real roots repeat; those within group_tol share one eigenspace
+            # only real roots repeat; those within group_tol share one eigenspace,
+            # unless it is smaller than the group: then each root is a simple one
+            # that the cubic placed too roughly, refined by Rayleigh quotients
             group = [w for w in lam[i:] if w.imag == z.imag and abs(w - z) <= group_tol]
-            for vec in _null_space(B - sum(group) / len(group) * np.eye(3), len(group),
-                                   rank_tol):
-                last = np.flatnonzero(vec)[-1]
-                vec = vec / vec[last]
+            mu = sum(group) / len(group)
+            # a real shift keeps the elimination in floats, with the same values
+            basis = _null_space(B, mu if mu.imag else mu.real, len(group), rank_tol)
+            if len(basis) < len(group):
+                clustered = True
+                pairs = [_rayleigh_refined(B, w.real) for w in group]
+                group, basis = zip(*sorted(pairs, key=lambda pair: -pair[0]))
+            values += group
+            for vec in basis:
+                last = max(j for j in range(3) if vec[j])
+                # an exact zero is +0, whatever the sign rounding gave it
+                vec = [x / vec[last] if x else 0.0 for x in vec]
                 vec[last] = 1.0
                 vectors.append(vec)
 
-    values = np.array(lam, dtype=complex) * scale
-    return EigenDecomposition(values, np.column_stack(vectors))
+    # rounding splits the root of a Jordan block by less than group_tol, and its
+    # vectors by an angle as small; the vectors of distinct roots have no such bound
+    if clustered and abs(_det3(vectors)) <= group_tol * math.prod(
+            max(map(abs, vec)) for vec in vectors):
+        raise DefectiveMatrixError("a repeated eigenvalue has fewer independent "
+                                   "eigenvectors than its multiplicity")
+    values = np.array(values, dtype=complex) * scale
+    if shift:
+        values += shift
+    return EigenDecomposition(values, np.array(list(zip(*vectors)), dtype=complex))
 
 
 def classify(eig: EigenDecomposition, tol: float = STABILITY_TOL) -> StabilityReport:
@@ -308,9 +366,9 @@ def classify(eig: EigenDecomposition, tol: float = STABILITY_TOL) -> StabilityRe
     when no real part sits within tol of zero (the case in which the
     linearization is faithful to the nonlinear flow near the point).
     """
-    re = eig.eigenvalues.real
-    abscissa = float(np.max(re))
-    hyperbolic = bool(np.all(np.abs(re) > tol))
+    re = eig.eigenvalues.real.tolist()
+    abscissa = max(re)
+    hyperbolic = all(abs(x) > tol for x in re)
     if not hyperbolic:
         cls = StabilityClass.NON_HYPERBOLIC
     elif abscissa < -tol:

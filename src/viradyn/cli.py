@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -85,8 +86,8 @@ class CliConfig:
     def to_argv(self) -> list[str]:
         """Flag rendering that parses back to an equal CliConfig.
 
-        Values are joined as ``--flag=value`` so that negative numbers
-        (including scientific notation) survive argparse.
+        Values are joined as ``--flag=value``, which parses whatever the
+        value starts with (an ``--out`` path may start with ``-``).
         """
         argv = [self.command]
         if self.model is not None:
@@ -106,6 +107,12 @@ class CliConfig:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        # argparse takes only -5 and -.5 style arguments for values, so "--t0 -1e2"
+        # and "--init -1,0,100" would read as flags; a "-" or "-." and a digit is a value
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     def error(self, message):  # raise instead of exiting so parse_args is pure
         raise UsageError(message)
 
@@ -370,12 +377,12 @@ def render_analysis(params: ModelParams, kind: ModelKind,
             f"V={_fmt(eq.point.V, 6)}",
             "jacobian:",
         ]
-        lines += ["  [" + ", ".join(_fmt(x, 6) for x in row) + "]" for row in J]
+        lines += ["  [" + ", ".join(_fmt(x, 6) for x in row) + "]" for row in J.tolist()]
         lines.append("eigenvalues:")
-        lines += [f"  {_fmt_complex(z)}" for z in decomposition.eigenvalues]
+        lines += [f"  {_fmt_complex(z)}" for z in decomposition.eigenvalues.tolist()]
         lines.append("eigenvectors:")
-        lines += ["  [" + ", ".join(_fmt_complex(x) for x in decomposition.eigenvectors[:, i])
-                  + "]" for i in range(3)]
+        lines += ["  [" + ", ".join(_fmt_complex(x) for x in vec) + "]"
+                  for vec in decomposition.eigenvectors.T.tolist()]
         lines += [
             f"classification: {report.classification.value}",
             f"hyperbolic: {'true' if report.hyperbolic else 'false'}",

@@ -36,10 +36,12 @@ _SPACING_BLOCK = 1 << 16  # mesh times per spacing check, to bound its memory
 def mesh_index(a: float, t: float, h: float) -> int | None:
     """Index i of the mesh point a + i*h at ``t``, or None when t is off the mesh.
 
-    ``(t - a) / h`` must lie within 1e-9 of an integer, relative to that
-    integer, so only t == a itself maps to index 0.
+    ``(t - a) / h`` must be finite and lie within 1e-9 of an integer,
+    relative to that integer, so only t == a itself maps to index 0.
     """
     n = (t - a) / h
+    if not math.isfinite(n):
+        return None
     i = round(n)
     return i if abs(n - i) <= _REL_TOL * i else None
 

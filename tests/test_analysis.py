@@ -241,6 +241,35 @@ def test_diagonalizable_repeated_eigenvalue_is_fine():
     assert np.linalg.matrix_rank(span) == 2
 
 
+_ROTATION = np.linalg.qr(np.random.default_rng(0).normal(size=(3, 3)))[0]
+
+
+@pytest.mark.parametrize("diagonal", [(1.0, 1.0 - 5e-8, 1.0 - 1e-7), (1.0, 1.0 - 9.9e-8, 5.0)])
+@pytest.mark.parametrize("rotated", [False, True])
+def test_clustered_spectrum_gives_accurate_independent_eigenpairs(diagonal, rotated):
+    # the cubic's roots of these spectra are off by up to 1e-5 and 4e-10
+    A = _ROTATION @ np.diag(diagonal) @ _ROTATION.T if rotated else np.diag(diagonal)
+    dec = eigen3(A)
+    assert np.linalg.matrix_rank(dec.eigenvectors) == 3
+    norm_a = np.linalg.norm(A)
+    assert np.allclose(dec.eigenvalues, sorted(diagonal, reverse=True), rtol=0, atol=1e-12 * norm_a)
+    for i in range(3):
+        v = dec.eigenvectors[:, i]
+        residual = np.linalg.norm(A @ v - dec.eigenvalues[i] * v)
+        assert residual < 1e-12 * norm_a * np.linalg.norm(v)
+
+
+@pytest.mark.parametrize("jordan", [
+    [[2.0, 1.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 5.0]],
+    [[2.0, 1.0, 0.0], [0.0, 2.0, 1.0], [0.0, 0.0, 2.0]],
+])
+def test_rounded_jordan_block_still_raises(jordan):
+    # the similarity's rounding splits the repeated root into a near cluster
+    S = np.random.default_rng(1).normal(size=(3, 3))
+    with pytest.raises(DefectiveMatrixError):
+        eigen3(S @ np.array(jordan) @ np.linalg.inv(S))
+
+
 def test_zero_matrix_decomposition():
     dec = eigen3(np.zeros((3, 3)))
     assert np.all(dec.eigenvalues == 0.0)

@@ -84,6 +84,13 @@ def test_flags_may_come_before_the_command():
     assert parse_args(["--model=combined", "analyze", "--treat=1:2:0.5"]).command == "analyze"
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--t0", "-1e2"), ("--init", "-1,0,100"), ("--treat", "-5:10:0.5"),
+])
+def test_negative_value_after_a_space_parses_like_the_equals_form(flag, value):
+    assert parse_args(["simulate", flag, value]) == parse_args(["simulate", f"{flag}={value}"])
+
+
 def test_help_lists_every_command_with_its_help(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["-h"])
@@ -344,6 +351,16 @@ def test_mesh_whose_float_times_are_not_uniform_exits_two(tmp_path, capsys, comm
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--h", "1e-320"],
+    ["analyze", "--t1", "1e300", "--h", "1e-300"],
+])
+def test_step_count_that_overflows_a_float_exits_two(tmp_path, capsys, argv):
+    assert main([*argv, f"--out={tmp_path / 'out'}"]) == 2
+    assert "does not divide" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_mesh_far_from_zero_with_uniform_float_times_still_runs(tmp_path):
     assert main(["simulate", "--t0=1e5", "--t1=100400", f"--out={tmp_path / 'o.csv'}"]) == 0
 
@@ -559,6 +576,30 @@ def test_reproduce_files_match_their_recorded_hashes(tmp_path):
             "1f1ef8987f4177cdf358d1a4112d1770719c3631d6a787b17a3a0eab6f3948b2",
         "two-control-u0.metrics.txt":
             "83b7a7bfe4107e2b800e650b44dbbd4670a26cde8ec7fd6f434502749d3796f1",
+    }
+
+
+def test_analysis_files_match_their_recorded_hashes(tmp_path):
+    # recorded from the numpy-array eigen solver and report writer
+    runs = {
+        "basic.txt": ["analyze"],
+        "two-control.txt": ["analyze", "--model=two-control", "--treat=0:10:0.5:0.3"],
+        "combined.txt": ["analyze", "--model=combined", "--treat=0:10:0.7"],
+        "subcritical.txt": ["analyze", "--param=beta=1e-5"],  # R0 = 0.87
+        "linearized.csv": ["linearize", "--t1=50"],
+    }
+    for name, argv in runs.items():
+        assert main([*argv, f"--out={tmp_path / name}"]) == 0
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in tmp_path.iterdir()}
+    assert digests == {
+        "basic.txt": "0c7a8220b71aef40eae1b86430c37eeedc1786f266beec9fe1eae48bf5158545",
+        "two-control.txt": "901867a09523ef81ba3216b7546892dcb040cab170c3cbd7c2231caa71fd93ee",
+        "combined.txt": "9b994a6b999a32ba69a594fcbfd9c2b39f9b031459658c0b242860f17eae004c",
+        "subcritical.txt": "25164c296c0e21cc3bad87df8eeedc4d05bafcecfdf34e6cc7806cc8655254d0",
+        "linearized.csv": "395576fb41612da65c6b6557106b3b44372809ba704a7a13bf634ccc8d3ac359",
+        "linearized.report.txt":
+            "1078ca0935b8e22a24341181a363b4ab39d34197996b76fb0e89b67d54719381",
     }
 
 
