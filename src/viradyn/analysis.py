@@ -378,19 +378,41 @@ def classify(eig: EigenDecomposition, tol: float = STABILITY_TOL) -> StabilityRe
     return StabilityReport(cls, hyperbolic, abscissa)
 
 
+def _solve_conditioned(V: list[list[complex]], b: list[complex]) -> tuple[list[complex], float]:
+    """x solving V x = b for the rows of a 3x3 V, and the 1-norm condition number
+    of V (infinite for a zero pivot).  One Gauss-Jordan elimination with partial
+    pivoting reduces [V | I | b] to [I | V^-1 | x]."""
+    identity = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+    rows = [[*row, *unit, y] for row, unit, y in zip(V, identity, b)]
+    for col in range(3):
+        lead = max(range(col, 3), key=lambda r: abs(rows[r][col]))
+        rows[col], rows[lead] = rows[lead], rows[col]
+        pivot = rows[col][col]
+        if not pivot:
+            return [], math.inf
+        top = rows[col] = [x / pivot for x in rows[col]]
+        for r in range(3):
+            factor = rows[r][col]
+            if r != col and factor:
+                rows[r] = [x - factor * y for x, y in zip(rows[r], top)]
+    cond = (max(abs(V[0][c]) + abs(V[1][c]) + abs(V[2][c]) for c in range(3))
+            * max(abs(rows[0][c]) + abs(rows[1][c]) + abs(rows[2][c]) for c in range(3, 6)))
+    return [row[6] for row in rows], cond
+
+
 def fit_linearized(eig: EigenDecomposition, x0) -> LinearizedSolution:
-    """Coefficients c solving [V1 V2 V3] c = x0 for the modal solution."""
+    """Coefficients c solving [V1 V2 V3] c = x0 for the modal solution,
+    on Python complexes."""
     x0 = np.asarray(x0, dtype=complex)
     if x0.shape != (3,):
         raise ValueError("initial perturbation must be a 3-vector")
     Vm = eig.eigenvectors
-    cond = np.linalg.cond(Vm, 1)  # LU-based, the same LAPACK path as the solve below
-    if not np.isfinite(cond) or cond > _MAX_EIGENVECTOR_COND:
+    coeff, cond = _solve_conditioned(Vm.tolist(), x0.tolist())
+    if not cond <= _MAX_EIGENVECTOR_COND:  # also a NaN
         raise ConditioningError(
             f"eigenvector matrix condition number {cond:.3g} exceeds {_MAX_EIGENVECTOR_COND:.0e}"
         )
-    coeff = np.linalg.solve(Vm, x0)
-    return LinearizedSolution(eig.eigenvalues.copy(), Vm.copy(), coeff)
+    return LinearizedSolution(eig.eigenvalues.copy(), Vm.copy(), np.array(coeff, dtype=complex))
 
 
 def evaluate_linearized(sol: LinearizedSolution, t) -> np.ndarray:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import re
@@ -332,15 +333,35 @@ _CSV_ROW = "%.9g,%.9g,%.9g,%.9g\n"
 _CSV_BLOCK = 512  # rows per write, so no file is ever held in memory whole
 
 
-def _write_csv(path: Path, times: np.ndarray, states: np.ndarray) -> Path:
-    """The ``t,T,Tstar,V`` CSV: one row per time, 9 significant digits."""
+def _write_csv(path: Path, times: np.ndarray, states: np.ndarray,
+               prefix: tuple[Path, int] | None = None) -> Path:
+    """The ``t,T,Tstar,V`` CSV: one row per time, 9 significant digits.
+
+    Given ``prefix = (source, steps)``, the header and rows 0..steps are the
+    lines of the CSV ``source``, copied as they are; ValueError when its row
+    ``steps`` is not this trajectory's.
+    """
     path = Path(path)
+    start = 0
     with open(path, "w", newline="\n") as fh:
-        fh.write("t,T,Tstar,V\n")
-        for i in range(0, len(times), _CSV_BLOCK):
-            j = i + _CSV_BLOCK
-            rows = np.column_stack((times[i:j], states[i:j])).tolist()
-            fh.write("".join([_CSV_ROW % tuple(row) for row in rows]))
+        if prefix is None:
+            fh.write("t,T,Tstar,V\n")
+        else:
+            source, steps = prefix
+            with open(source, newline="\n") as src:
+                fh.writelines(itertools.islice(src, steps + 1))  # the header, rows 0..steps-1
+                copied = src.readline()
+            fresh = _CSV_ROW % (times[steps].item(), *states[steps].tolist())
+            if copied != fresh:
+                fh.close()
+                path.unlink()
+                raise ValueError(f"{path}: row {steps} copied from {source} reads "
+                                 f"{copied.rstrip()!r}, not {fresh.rstrip()!r}")
+            fh.write(copied)
+            start = steps + 1
+        for i in range(start, len(times), _CSV_BLOCK):
+            block = np.column_stack((times[i:i + _CSV_BLOCK], states[i:i + _CSV_BLOCK]))
+            fh.write((_CSV_ROW * len(block)) % tuple(block.ravel().tolist()))
     return path
 
 
@@ -348,9 +369,11 @@ def metrics_path_for(csv_path: Path) -> Path:
     return csv_path.with_suffix(".metrics.txt")
 
 
-def emit_trajectory(result: ScenarioResult, path: Path) -> Path:
-    """Write the trajectory CSV plus its sibling key=value metrics file."""
-    path = _write_csv(path, result.trajectory.times, result.trajectory.states)
+def emit_trajectory(result: ScenarioResult, path: Path, *,
+                    prefix: tuple[Path, int] | None = None) -> Path:
+    """Write the trajectory CSV plus its sibling key=value metrics file.
+    ``prefix = (source, steps)`` copies rows 0..steps from the CSV ``source``."""
+    path = _write_csv(path, result.trajectory.times, result.trajectory.states, prefix)
     _write_lines(metrics_path_for(path),
                  [f"{key}={value}" for key, value in zip(_METRIC_KEYS, _metric_values(result))])
     return path
@@ -463,8 +486,11 @@ def _cmd_reproduce(cli: CliConfig) -> int:
     out_dir = cli.out or Path("reproduction")
     out_dir.mkdir(parents=True, exist_ok=True)
     summary = ["label," + ",".join(_METRIC_KEYS)]
-    for result in _run_sharing_prefixes(scenarios):
-        emit_trajectory(result, out_dir / f"{result.config.label}.csv")
+    paths = [out_dir / f"{config.label}.csv" for config in scenarios]
+    # each shared prefix is rendered once: later files copy its lines
+    for path, (result, copied) in zip(paths, _run_sharing_prefixes(scenarios)):
+        emit_trajectory(result, path,
+                        prefix=None if copied is None else (paths[copied[0]], copied[1]))
         summary.append(",".join([result.config.label, *_metric_values(result)]))
         _say(f"ran {result.config.label}")
     summary_path = _write_lines(out_dir / "summary.csv", summary)

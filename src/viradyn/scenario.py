@@ -207,7 +207,12 @@ def _integrate(config: ScenarioConfig, runs: list, prefix: np.ndarray | None = N
     params, mesh = config.params, config.mesh
     n, h = mesh.n_steps, mesh.h
     s, d, m1, m2 = params.s, params.d, params.m1, params.m2
-    states = np.empty((n + 1, 3))
+    try:
+        states = np.empty((n + 1, 3))
+    except MemoryError:
+        raise ValueError(f"a trajectory of {n} steps on the mesh [{mesh.a}, {mesh.b}] with "
+                         f"step h={h!r} needs {24 * (n + 1)} bytes, more than can be "
+                         "allocated") from None
     start = 0 if prefix is None else len(prefix) - 1
     states[:start + 1] = config.initial.as_array() if prefix is None else prefix
     T, Ts, V = states[start].tolist()
@@ -258,17 +263,19 @@ def run_matrix(base: ScenarioConfig,
     """One run per (u1, u2) level, windows kept, efficacies replaced."""
     if not efficacy_levels:
         raise ValueError("need at least one efficacy level")
-    return list(_run_sharing_prefixes([
+    return [result for result, _ in _run_sharing_prefixes([
         replace(base, schedule=base.schedule.with_efficacies(u1, u2),
                 label=f"{base.label or 'matrix'}[{i}:u1={u1:g},u2={u2:g}]")
-        for i, (u1, u2) in enumerate(efficacy_levels)]))
+        for i, (u1, u2) in enumerate(efficacy_levels)])]
 
 
-def _run_sharing_prefixes(configs: list[ScenarioConfig]) -> Iterator[ScenarioResult]:
-    """``run(config)`` for each config in turn.  Configs with equal params, mesh
-    start, step and initial bits (-0.0 prints apart from 0.0) agree row for row
-    until their rate runs differ: each copies the longest such prefix of an
-    earlier config, held only until its last copier runs, and marches the rest."""
+def _run_sharing_prefixes(configs: list[ScenarioConfig]
+                          ) -> Iterator[tuple[ScenarioResult, tuple[int, int] | None]]:
+    """``run(config)`` for each config in turn, with the ``(index, steps)`` of the
+    earlier config it copied rows 0..steps from, or None.  Configs with equal
+    params, mesh start, step and initial bits (-0.0 prints apart from 0.0) agree
+    row for row until their rate runs differ: each copies the longest such prefix
+    of an earlier config, held only until its last copier runs, and marches the rest."""
     runs = [_rate_runs(c) for c in configs]
     groups = [(c.params, c.mesh.a, c.mesh.h, c.initial.as_array().tobytes()) for c in configs]
     sources = []  # (steps shared, index of the config they are copied from)
@@ -289,7 +296,8 @@ def _run_sharing_prefixes(configs: list[ScenarioConfig]) -> Iterator[ScenarioRes
             del kept[j]
         if i in last_use:
             kept[i] = trajectory.states
-        yield ScenarioResult(config, trajectory, compute_metrics(trajectory, config.schedule))
+        yield (ScenarioResult(config, trajectory, compute_metrics(trajectory, config.schedule)),
+               (j, shared) if shared else None)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ trace, and determinant identities on its own.
 """
 
 import cmath
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from viradyn import (
     jacobian,
     rhs,
 )
+from viradyn.analysis import _solve_conditioned
 from viradyn.errors import ConditioningError, DefectiveMatrixError
 
 REPORTED_EQUILIBRIUM = np.array([240.0, 21.6667, 902.778])
@@ -384,6 +386,49 @@ def test_near_parallel_eigenvectors_raise_conditioning_error():
     dec = EigenDecomposition(np.array([1.0, 2.0, 3.0], dtype=complex), vectors)
     with pytest.raises(ConditioningError):
         fit_linearized(dec, np.array([1.0, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("kind", list(ModelKind))
+def test_modal_fit_agrees_with_lapack_on_seeded_model_eigenvectors(kind):
+    rng = np.random.default_rng(list(ModelKind).index(kind))
+    checked = 0
+    for _ in range(40):
+        params = ModelParams(**{name: x * rng.uniform(0.5, 2.0)
+                                for name, x in asdict(ModelParams()).items()})
+        u1 = rng.uniform(0.0, 0.6) if kind is ModelKind.TWO_CONTROL else 0.0
+        u2 = rng.uniform(0.0, 0.6) if kind is not ModelKind.BASIC else 0.0
+        for eq in equilibria(params, u1, u2, kind):
+            dec = eigen3(jacobian(params, u1, u2, kind, eq.point))
+            V, x0 = dec.eigenvectors, rng.uniform(-10.0, 10.0, 3)
+            expected = np.linalg.solve(V, x0.astype(complex))
+            coefficients, cond = _solve_conditioned(V.tolist(), x0.astype(complex).tolist())
+            assert np.max(np.abs(coefficients - expected)) <= 1e-12 * np.max(np.abs(expected))
+            assert cond == pytest.approx(np.linalg.cond(V, 1), rel=1e-12)
+            assert np.array_equal(fit_linearized(dec, x0).coefficients, coefficients)
+            checked += 1
+    assert checked >= 40
+
+
+def test_singular_eigenvector_matrix_raises_conditioning_error():
+    vectors = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]], dtype=complex)
+    dec = EigenDecomposition(np.array([1.0, 2.0, 3.0], dtype=complex), vectors)
+    with pytest.raises(ConditioningError, match=r"^eigenvector matrix condition number inf "
+                                                r"exceeds 1e\+08$"):
+        fit_linearized(dec, np.array([1.0, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("target", [1e8 + 100.0, 1e8 - 100.0])
+def test_condition_number_bound_is_1e8(target):
+    # [[1, 1, 0], [0, e, 0], [0, 0, 1]] has 1-norm condition number 2/e + 2
+    e = 2.0 / (target - 2.0)
+    vectors = np.array([[1.0, 1.0, 0.0], [0.0, e, 0.0], [0.0, 0.0, 1.0]], dtype=complex)
+    assert (np.linalg.cond(vectors, 1) > 1e8) == (target > 1e8)
+    dec = EigenDecomposition(np.array([1.0, 2.0, 3.0], dtype=complex), vectors)
+    if target > 1e8:
+        with pytest.raises(ConditioningError, match=r"condition number 1e\+08 exceeds 1e\+08"):
+            fit_linearized(dec, np.array([1.0, 0.0, 0.0]))
+    else:
+        assert fit_linearized(dec, np.array([1.0, 0.0, 0.0])).coefficients[0] == 1.0
 
 
 def test_array_of_times_gives_one_row_per_time():

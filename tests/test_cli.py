@@ -16,7 +16,7 @@ from hypothesis import given, strategies as st
 import viradyn
 from viradyn import cli
 from viradyn import MeshSpec, ModelKind, ModelParams, ScenarioConfig, SystemState
-from viradyn import EfficacySchedule, run
+from viradyn import EfficacySchedule, reference_scenarios, run
 from viradyn.cli import (
     CliConfig,
     UsageError,
@@ -361,6 +361,25 @@ def test_step_count_that_overflows_a_float_exits_two(tmp_path, capsys, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_trajectory_too_large_to_allocate_exits_two_and_writes_nothing(tmp_path):
+    resource = pytest.importorskip("resource")
+
+    def limit_address_space():  # about 2 GiB, in the child only
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    path = [str(Path(viradyn.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path)),
+           "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from viradyn.cli import main; sys.exit(main())",
+         "simulate", "--t1", "1e12", "--h", "1", f"--out={tmp_path / 'big.csv'}"],
+        capture_output=True, text=True, env=env, preexec_fn=limit_address_space, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: a trajectory of 1000000000000 steps on the mesh ")
+    assert "needs 24000000000024 bytes" in proc.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_mesh_far_from_zero_with_uniform_float_times_still_runs(tmp_path):
     assert main(["simulate", "--t0=1e5", "--t1=100400", f"--out={tmp_path / 'o.csv'}"]) == 0
 
@@ -513,6 +532,60 @@ def test_csv_bytes_equal_the_per_value_rendering(n_rows, pool):
     with tempfile.TemporaryDirectory() as tmp:
         path = cli._write_csv(Path(tmp) / "t.csv", times, states)
         assert path.read_bytes() == expected.encode()
+
+
+@given(n_rows=st.sampled_from([1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1]),
+       shared=st.sampled_from([0, 1, _BLOCK - 1, _BLOCK, None]),  # None: n_rows - 1
+       pool=st.lists(st.one_of(st.sampled_from(_EDGE_FLOATS),
+                               st.floats(allow_nan=False, allow_infinity=False)),
+                     min_size=1, max_size=40))
+def test_csv_with_a_copied_prefix_equals_the_csv_written_from_scratch(n_rows, shared, pool):
+    shared = n_rows - 1 if shared is None else min(shared, n_rows - 1)
+    source = np.resize(np.array(pool, dtype=float), (n_rows, 4))
+    copier = source.copy()
+    # every later value prints apart from the source's
+    copier[shared + 1:] = np.where(np.abs(copier[shared + 1:] - 0.5) < 0.25, 2.0, 0.5)
+    with tempfile.TemporaryDirectory() as tmp:
+        src = cli._write_csv(Path(tmp) / "source.csv", source[:, 0], source[:, 1:])
+        copied = cli._write_csv(Path(tmp) / "copied.csv", copier[:, 0], copier[:, 1:],
+                                prefix=(src, shared))
+        fresh = cli._write_csv(Path(tmp) / "fresh.csv", copier[:, 0], copier[:, 1:])
+        assert copied.read_bytes() == fresh.read_bytes()
+
+
+def test_a_copied_row_altered_on_disk_exits_two_and_leaves_no_copy(tmp_path, capsys,
+                                                                   monkeypatch):
+    emit, copies = cli.emit_trajectory, []
+
+    def alter_the_last_copied_row_then_emit(result, path, *, prefix=None):
+        if prefix is not None and not copies:
+            source, shared = prefix
+            lines = source.read_text().splitlines(keepends=True)
+            lines[shared + 1] = "9" + lines[shared + 1]  # the header is line 0
+            source.write_text("".join(lines))
+            copies.append((source, path))
+        return emit(result, path, prefix=prefix)
+
+    monkeypatch.setattr(cli, "emit_trajectory", alter_the_last_copied_row_then_emit)
+    assert main(["reproduce", "--h=0.5", f"--out={tmp_path}"]) == 2
+    [(source, path)] = copies
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: row ") and f" copied from {source} " in err
+    assert not path.exists() and not metrics_path_for(path).exists()
+
+
+def test_reproduce_files_equal_standalone_writes_of_each_scenario(tmp_path):
+    # at the default h the shared prefixes (1,500, 4,000 and 6,000 steps)
+    # end inside 512-row blocks; --h 0.5 is pinned by digest below
+    assert main(["reproduce", f"--out={tmp_path / 'r'}"]) == 0
+    (tmp_path / "alone").mkdir()
+    names = {"summary.csv"}
+    for config in reference_scenarios():
+        path = emit_trajectory(run(config), tmp_path / "alone" / f"{config.label}.csv")
+        for alone in (path, metrics_path_for(path)):
+            assert alone.read_bytes() == (tmp_path / "r" / alone.name).read_bytes(), alone.name
+            names.add(alone.name)
+    assert {path.name for path in (tmp_path / "r").iterdir()} == names
 
 
 def test_reproduce_files_match_their_recorded_hashes(tmp_path):
