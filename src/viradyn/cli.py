@@ -8,14 +8,12 @@ metrics file; analysis reports are structured text.  Exit codes:
 
 from __future__ import annotations
 
-import argparse
-import functools
 import itertools
 import json
 import os
 import re
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -85,76 +83,57 @@ class CliConfig:
     out: Path | None = None
 
     def to_argv(self) -> list[str]:
-        """Flag rendering that parses back to an equal CliConfig.
-
-        Values are joined as ``--flag=value``, which parses whatever the
-        value starts with (an ``--out`` path may start with ``-``).
-        """
+        """Flags that parse back to an equal CliConfig, each as ``--flag=value``, which
+        parses whatever the value starts with (an ``--out`` path may start with ``-``)."""
         argv = [self.command]
-        if self.model is not None:
-            argv.append(f"--model={self.model.value}")
-        if self.config_path is not None:
-            argv.append(f"--config={self.config_path}")
-        argv += [f"--param={name}={value!r}" for name, value in self.param_overrides]
-        for flag, value in (("--t0", self.t0), ("--t1", self.t1), ("--h", self.h)):
-            if value is not None:
-                argv.append(f"{flag}={value!r}")
-        if self.init is not None:
-            argv.append("--init=" + ",".join(repr(x) for x in self.init))
-        argv += ["--treat=" + ":".join(repr(x) for x in w if x is not None) for w in self.treat]
-        if self.out is not None:
-            argv.append(f"--out={self.out}")
+        for flag, (name, _, repeatable, metavar, _) in _FLAGS.items():
+            value = getattr(self, name)
+            for x in value if repeatable else () if value is None else (value,):
+                if isinstance(x, tuple):  # joined by the separator its metavar shows
+                    sep = next(c for c in metavar if c in "=,:")
+                    x = sep.join(str(v) for v in x if v is not None)  # no absent u2
+                argv.append(f"{flag}={x.value if isinstance(x, ModelKind) else x}")
         return argv
 
 
-class _Parser(argparse.ArgumentParser):
-    def __init__(self, **kwargs):
-        super().__init__(**kwargs)
-        # argparse takes only -5 and -.5 style arguments for values, so "--t0 -1e2"
-        # and "--init -1,0,100" would read as flags; a "-" or "-." and a digit is a value
-        self._negative_number_matcher = re.compile(r"^-\.?\d")
-
-    def error(self, message):  # raise instead of exiting so parse_args is pure
-        raise UsageError(message)
+class _BadValue(Exception):
+    """A flag or config value that does not parse; the caller names where it came from."""
 
 
 def _float_arg(text: str) -> float:
     try:
         return float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid number {text!r}") from None
+        raise _BadValue(f"invalid number {text!r}") from None
 
 
 def _model_arg(text: str) -> ModelKind:
-    for kind in ModelKind:
-        if text == kind.value:
-            return kind
-    choices = ", ".join(kind.value for kind in ModelKind)
-    raise argparse.ArgumentTypeError(f"unknown model {text!r} (choose from {choices})")
+    choices = [kind.value for kind in ModelKind]
+    if text not in choices:
+        raise _BadValue(f"unknown model {text!r} (choose from {', '.join(choices)})")
+    return ModelKind(text)
 
 
 def _param_arg(text: str) -> tuple[str, float]:
     name, sep, value = text.partition("=")
     if not sep:
-        raise argparse.ArgumentTypeError(f"expected key=value, got {text!r}")
+        raise _BadValue(f"expected key=value, got {text!r}")
     if name not in _PARAM_NAMES:
-        raise argparse.ArgumentTypeError(
-            f"unknown parameter {name!r} (choose from {', '.join(_PARAM_NAMES)})"
-        )
+        raise _BadValue(f"unknown parameter {name!r} (choose from {', '.join(_PARAM_NAMES)})")
     return name, _float_arg(value)
 
 
 def _init_arg(text: str) -> tuple[float, float, float]:
     parts = text.split(",")
     if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"expected T,Tstar,V, got {text!r}")
+        raise _BadValue(f"expected T,Tstar,V, got {text!r}")
     return tuple(_float_arg(p) for p in parts)  # type: ignore[return-value]
 
 
 def _treat_arg(text: str) -> tuple[float, float, float, float | None]:
     parts = text.split(":")
     if len(parts) not in (3, 4):
-        raise argparse.ArgumentTypeError(f"expected start:end:u1[:u2], got {text!r}")
+        raise _BadValue(f"expected start:end:u1[:u2], got {text!r}")
     start, end, u1, *rest = (_float_arg(p) for p in parts)
     return start, end, u1, rest[0] if rest else None
 
@@ -179,40 +158,77 @@ def _schedule(windows, kind: ModelKind, where: str) -> EfficacySchedule:
         raise UsageError(f"{where}: {err}") from None
 
 
-# built on first use and kept for the process: argparse copies the ``append``
-# defaults on every parse, so one parser serves every call
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+# flag -> (CliConfig field, value parser, repeatable, metavar, help): parse_args,
+# CliConfig.to_argv and the -h text all read this one table
+_FLAGS = {
+    "--model": ("model", _model_arg, False, "MODEL", "basic, two-control or combined"),
+    "--config": ("config_path", Path, False, "CONFIG", "JSON scenario; flags override it"),
+    "--param": ("param_overrides", _param_arg, True, "KEY=VAL", "override a rate constant"),
+    "--t0": ("t0", _float_arg, False, "T0", "start time (day)"),
+    "--t1": ("t1", _float_arg, False, "T1", "end time (day)"),
+    "--h": ("h", _float_arg, False, "H", "mesh step (day)"),
+    "--init": ("init", _init_arg, False, "T,TSTAR,V", "initial state"),
+    "--treat": ("treat", _treat_arg, True, "START:END:U1[:U2]", "half-open treatment window"),
+    "--out": ("out", Path, False, "OUT", "output path"),
+}
+# a "-" and more, but not a number such as -1e2 or -.5, nor text holding a space
+_looks_like_flag = re.compile(r"-(?!\.?\d)[^ ]+\Z").match
+
+
+def _help() -> str:
+    flags = "".join(f"\n  {flag} {meta:<{25 - len(flag)}} {text}" + " (repeatable)" * repeatable
+                    for flag, (_, _, repeatable, meta, text) in _FLAGS.items())
     commands = "".join(f"\n  {name:<10} {fn.__doc__}" for name, fn in _COMMANDS.items())
-    parser = _Parser(prog="viradyn", formatter_class=argparse.RawDescriptionHelpFormatter,
-                     description="Within-host viral dynamics simulator and analyzer",
-                     epilog="commands:" + commands)
-    parser.add_argument("command", choices=_COMMANDS, help="the command to run (listed below)")
-    parser.add_argument("--model", type=_model_arg,
-                        help="model variant: basic, two-control, or combined")
-    parser.add_argument("--config", dest="config_path", type=Path,
-                        metavar="CONFIG", help="JSON scenario file; flags override its values")
-    parser.add_argument("--param", dest="param_overrides", type=_param_arg, action="append",
-                        default=[], metavar="KEY=VAL",
-                        help="override a rate constant (repeatable)")
-    parser.add_argument("--t0", type=_float_arg, help="start time (day)")
-    parser.add_argument("--t1", type=_float_arg, help="end time (day)")
-    parser.add_argument("--h", type=_float_arg, help="mesh step (day)")
-    parser.add_argument("--init", type=_init_arg, metavar="T,TSTAR,V", help="initial state")
-    parser.add_argument("--treat", type=_treat_arg, action="append", default=[],
-                        metavar="START:END:U1[:U2]",
-                        help="treatment window, half-open (repeatable); a single "
-                             "efficacy binds to u2 for the combined model")
-    parser.add_argument("--out", type=Path, help="output path")
-    return parser
+    return ("usage: viradyn [-h] [--FLAG VALUE ...] COMMAND [--FLAG VALUE ...]\n\nWithin-host "
+            f"viral dynamics simulator and analyzer\n\nflags:{flags}\n\ncommands:{commands}")
 
 
 def parse_args(argv: list[str]) -> CliConfig:
-    """Parse flags, before or after the command, into a CliConfig; UsageError on bad input."""
-    ns = vars(_build_parser().parse_args(argv))
-    cli = CliConfig(**{key: tuple(x) if isinstance(x, list) else x for key, x in ns.items()})
-    _schedule(cli.treat, ModelKind.BASIC, "--treat")  # the kind is known once resolved
-    return cli
+    """Parse flags, before or after the command, into a CliConfig; UsageError on bad input.
+
+    A flag takes one value, as ``--flag=value`` or ``--flag value``, and may be
+    shortened to a unique prefix; ``-h`` or ``--help`` prints the usage and exits.
+    """
+    command, values, extras = None, {}, []
+    args = iter(argv)
+    for arg in args:
+        flag, eq, value = arg.partition("=")
+        if flag not in _FLAGS:  # a prefix is tried only once the exact name misses
+            if arg[:2] == "--" and arg != "--":
+                names = [name for name in ("--help", *_FLAGS) if name.startswith(flag)]
+                if len(names) > 1:
+                    raise UsageError(f"ambiguous option: {arg} could match {', '.join(names)}")
+                flag = names[0] if names else flag
+            if flag in ("-h", "--help"):
+                if eq:
+                    raise UsageError(f"argument -h/--help: ignored explicit argument {value!r}")
+                print(_help())
+                raise SystemExit(0)
+            if flag not in _FLAGS:  # the command, a surplus value or an unknown flag
+                if command is None and not _looks_like_flag(arg):
+                    if arg not in _COMMANDS:
+                        raise UsageError(f"argument command: invalid choice: {arg!r} (choose "
+                                         f"from {', '.join(map(repr, _COMMANDS))})")
+                    command = arg
+                else:
+                    extras.append(arg)
+                continue
+        if not eq:
+            value = next(args, None)
+            if value is None or _looks_like_flag(value):
+                raise UsageError(f"argument {flag}: expected one argument")
+        name, parse, repeatable, _, _ = _FLAGS[flag]
+        try:
+            x = parse(value)
+        except _BadValue as err:
+            raise UsageError(f"argument {flag}: {err}") from None
+        values[name] = (*values.get(name, ()), x) if repeatable else x
+    if command is None:
+        raise UsageError("the following arguments are required: command")
+    if extras:
+        raise UsageError(f"unrecognized arguments: {' '.join(extras)}")
+    _schedule(values.get("treat", ()), ModelKind.BASIC, "--treat")  # kind-independent checks
+    return CliConfig(command, **values)
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +238,7 @@ def parse_args(argv: list[str]) -> CliConfig:
 def _checked(x, kind: str, where: str):
     """``x``, once it is a JSON ``kind``; true and false are not numbers."""
     if isinstance(x, bool) or not isinstance(x, _JSON_TYPES[kind]):
-        raise UsageError(f"--config: {where} must be a JSON {kind}")
+        raise _BadValue(f"{where} must be a JSON {kind}")
     return x
 
 
@@ -230,7 +246,7 @@ def _section(value, name: str, keys: tuple[str, ...]) -> dict:
     """``value`` itself, once it is a JSON object holding only ``keys``."""
     unknown = set(_checked(value, "object", name)) - set(keys)
     if unknown:
-        raise UsageError(f"--config: unknown keys {sorted(unknown)} in {name}")
+        raise _BadValue(f"unknown keys {sorted(unknown)} in {name}")
     return value
 
 
@@ -242,12 +258,13 @@ def _floats(value, name: str, keys: tuple[str, ...]) -> dict[str, float]:
 def _load_config_file(path: Path) -> dict:
     """The file's layer: the values it sets, keyed as in the file."""
     try:
-        raw = _section(json.loads(path.read_text()), str(path), _CONFIG_KEYS)
+        raw = json.loads(path.read_text())
     except OSError as err:
         raise UsageError(f"--config: cannot read {path}: {err.strerror}") from None
     except json.JSONDecodeError as err:
         raise UsageError(f"--config: invalid JSON in {path}: {err}") from None
     try:
+        raw = _section(raw, str(path), _CONFIG_KEYS)
         layer = {name: _floats(raw[name], name, keys)
                  for name, keys in _CONFIG_SECTIONS.items() if name in raw}
         if "initial" in layer:
@@ -260,9 +277,7 @@ def _load_config_file(path: Path) -> dict:
             windows = [_floats(w, f"schedule[{i}]", _WINDOW_KEYS)
                        for i, w in enumerate(_checked(raw["schedule"], "list", "schedule"))]
             layer["schedule"] = [tuple(w[key] for key in _WINDOW_KEYS) for w in windows]
-    except UsageError:
-        raise
-    except argparse.ArgumentTypeError as err:
+    except _BadValue as err:
         raise UsageError(f"--config: {err}") from None
     except KeyError as err:
         raise UsageError(f"--config: a schedule window has no {err}") from None
@@ -284,7 +299,7 @@ def resolve_scenario(cli: CliConfig) -> ScenarioConfig:
                              "takes only --param, --h, --out and the params of --config")
     kind = cli.model or file.get("kind", ModelKind.BASIC)
     flag_mesh = {"a": cli.t0, "b": cli.t1, "h": cli.h}
-    params = {**asdict(ModelParams()), **file.get("params", {}), **dict(cli.param_overrides)}
+    params = {**file.get("params", {}), **dict(cli.param_overrides)}
     mesh = {**_DEFAULT_MESH, **file.get("mesh", {}),
             **{key: x for key, x in flag_mesh.items() if x is not None}}
     initial = (SystemState(*cli.init) if cli.init is not None

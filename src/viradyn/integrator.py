@@ -76,12 +76,12 @@ class MeshSpec:
                 f"step h={self.h!r} does not divide [{self.a}, {self.b}] into an "
                 f"integral number of steps (got {(self.b - self.a) / self.h!r})"
             )
-        # each time a + i*h is within 3 * 2**-53 * max(|a|, |b|) of exact, so two steps
-        # differ by 1e-9 relative only past this bound, and never if every time is exact
+        # each time a + i*h is within 3 * 2**-53 * max(|a|, |b|) of exact, so two steps differ by
+        # 1e-9 relative only past this bound, and only once |a*q| + i*h*q >= 2**53, q = max(aq, hq)
         (ap, aq), (hp, hq) = float(self.a).as_integer_ratio(), float(self.h).as_integer_ratio()
-        exact = hq % aq == 0 and abs(ap * (hq // aq)) + n * hp < 2**53
-        if max(abs(self.a), abs(self.b)) * 2.0**-49 > _REL_TOL * self.h and not exact:
-            for i in range(0, n, _SPACING_BLOCK):  # against the first step of times()
+        last_exact = (2**53 - 1 - abs(ap * max(hq // aq, 1))) // (hp * max(aq // hq, 1))
+        if max(abs(self.a), abs(self.b)) * 2.0**-49 > _REL_TOL * self.h and last_exact < n:
+            for i in range(max(last_exact, 0), n, _SPACING_BLOCK):  # vs the first step of times()
                 _check_spacing(self.times(i, min(i + _SPACING_BLOCK, n)), self.a + self.h - self.a,
                                f"the times of mesh [{self.a}, {self.b}] with step h={self.h!r}")
 

@@ -103,6 +103,70 @@ def test_help_lists_every_command_with_its_help(capsys):
         assert re.search(rf"^ +{name} +{re.escape(text)}$", out, re.MULTILINE), name
 
 
+@pytest.mark.parametrize("argv, err", [
+    (["simulate", "--frobnicate"], "unrecognized arguments: --frobnicate"),
+    (["simulate", "--frobnicate", "--zap", "5"], "unrecognized arguments: --frobnicate --zap 5"),
+    (["--frobnicate"], "the following arguments are required: command"),
+    (["simulate", "--t0"], "argument --t0: expected one argument"),
+    (["simulate", "--t0", "--t1", "5"], "argument --t0: expected one argument"),
+    (["simulate", "--t0", "day-one"], "argument --t0: invalid number 'day-one'"),
+    (["simulate", "--t0", "-5x"], "argument --t0: invalid number '-5x'"),
+    (["simulate", "--init", "1,2"], "argument --init: expected T,Tstar,V, got '1,2'"),
+    (["simulate", "--init=1,x,3"], "argument --init: invalid number 'x'"),
+    (["simulate", "--treat", "1:2"], "argument --treat: expected start:end:u1[:u2], got '1:2'"),
+    (["simulate", "--tr=1:2:1.5"], "--treat: efficacy u1 must lie in [0, 1], got 1.5"),
+    (["simulate", "--param", "s"], "argument --param: expected key=value, got 's'"),
+    (["simulate", "--param", "gamma=3"],
+     "argument --param: unknown parameter 'gamma' (choose from s, d, beta, k, m1, m2)"),
+    (["simulate", "--model", "bogus"],
+     "argument --model: unknown model 'bogus' (choose from basic, two-control, combined)"),
+    (["frob"], "argument command: invalid choice: 'frob' "
+               "(choose from 'simulate', 'analyze', 'linearize', 'reproduce')"),
+    (["-5", "simulate"], "argument command: invalid choice: '-5' "
+                         "(choose from 'simulate', 'analyze', 'linearize', 'reproduce')"),
+    ([], "the following arguments are required: command"),
+    (["simulate", "analyze"], "unrecognized arguments: analyze"),
+    (["simulate", "--t0", "1", "2"], "unrecognized arguments: 2"),
+    (["simulate", "--t", "5"], "ambiguous option: --t could match --t0, --t1, --treat"),
+    (["simulate", "--t=5"], "ambiguous option: --t=5 could match --t0, --t1, --treat"),
+    (["simulate", "--out", "-x.csv"], "argument --out: expected one argument"),
+    (["simulate", "-x"], "unrecognized arguments: -x"),
+    (["simulate", "-t0", "5"], "unrecognized arguments: -t0 5"),
+    (["simulate", "--to", "5"], "unrecognized arguments: --to 5"),
+    (["simulate", "--frob", "--t0", "x"], "argument --t0: invalid number 'x'"),
+    (["--help=x", "simulate"], "argument -h/--help: ignored explicit argument 'x'"),
+    (["simulate", "--t1", "5", "--", "x"], "unrecognized arguments: -- x"),
+])
+def test_usage_errors_exit_two_with_their_message(capsys, argv, err):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {err}\n"
+
+
+def test_flags_may_be_shortened_to_a_unique_prefix(tmp_path, capsys):
+    out = tmp_path / "c.csv"
+    assert main(["--mod", "combined", "--t1", "5", "simulate", f"--ou={out}"]) == 0
+    assert main(["simulate", "--model=combined", "--t1=5", f"--out={tmp_path / 'd.csv'}"]) == 0
+    assert out.read_bytes() == (tmp_path / "d.csv").read_bytes()
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--frob", "--he", "--t0", "x"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: viradyn ")
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["--", "simulate"], "unrecognized arguments: --"),
+    (["simulate", "--"], "unrecognized arguments: --"),
+    (["--", "simulate", "--t1", "5"], "unrecognized arguments: --"),
+    (["frob", "--t", "5"], "argument command: invalid choice: 'frob' "
+                           "(choose from 'simulate', 'analyze', 'linearize', 'reproduce')"),
+    (["simulate", "--out", "--t"], "argument --out: expected one argument"),
+])
+def test_double_dash_is_no_flag_and_errors_are_reported_in_argv_order(capsys, argv, err):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {err}\n"
+
+
 # --- round-trip property --------------------------------------------------------
 
 clean_float = st.floats(min_value=-1e6, max_value=1e6,
@@ -348,6 +412,24 @@ def test_mesh_whose_float_times_are_not_uniform_exits_two(tmp_path, capsys, comm
     assert main([command, f"--t0={t0}", f"--t1={t1}", f"--out={out}"]) == 2
     mesh = f"mesh [{float(t0)}, {float(t1)}] with step h=0.1 must be uniformly spaced"
     assert mesh in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, spacing", [
+    (["--t1", "1e9", "--h", "0.001"], "[0.0, 1000000000.0] with step h=0.001 must be uniformly "
+                                      "spaced; one step is 0.0009999999983847374"),
+    (["--t0", "1e6", "--t1", "1e13", "--h", "0.1"],
+     "[1000000.0, 10000000000000.0] with step h=0.1 must be uniformly spaced; "
+     "one step is 0.10000000009313226"),
+    (["--t0", "1e15", "--t1", "1.0000000000001e15", "--h", "0.1"],
+     "[1000000000000000.0, 1000000000000100.0] with step h=0.1 must be uniformly spaced; "
+     "one step is 0.0"),
+    (["--t1", "1e18", "--h", "1"], "[0.0, 1e+18] with step h=1.0 must be uniformly spaced; "
+                                   "one step is 0.0"),
+])
+def test_mesh_far_past_exact_float_times_exits_two_naming_a_step(tmp_path, capsys, argv, spacing):
+    assert main(["analyze", *argv, f"--out={tmp_path / 'a.txt'}"]) == 2
+    assert capsys.readouterr().err == f"error: the times of mesh {spacing}\n"
     assert list(tmp_path.iterdir()) == []
 
 

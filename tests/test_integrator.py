@@ -55,6 +55,20 @@ def test_meshes_far_from_zero_with_uniform_float_times_are_accepted():
     assert MeshSpec(0.0, 1e12, 0.125).n_steps == 8 * 10**12  # exact times, not scanned
 
 
+@pytest.mark.parametrize("b", [1e16, 1e300])
+def test_mesh_past_the_exact_float_times_is_refused_from_its_first_inexact_time(b):
+    # every time below 2**53 is exact, so the spacing check starts there and its
+    # first block holds 2**53 + 1, which rounds to 2**53: a step of 0
+    with pytest.raises(ValueError, match=r"with step h=1\.0 must be uniformly spaced; "
+                                         r"one step is 0\.0$"):
+        MeshSpec(0.0, b, 1.0)
+
+
+def test_mesh_whose_start_is_finer_than_its_step_is_exact_without_a_scan():
+    # a = 1/2 and h = 1 share the denominator 2, so every a + i*h below 2**52 is exact
+    assert MeshSpec(0.5, 4e15 + 0.5, 1.0).n_steps == 4 * 10**15
+
+
 @given(exponent=st.floats(0.0, 7.5), sign=st.sampled_from([1.0, -1.0]),
        h=st.sampled_from([0.1, 0.05, 0.125, 1 / 3, 0.001, 7.0]), n=st.integers(1, 2000))
 def test_mesh_accepts_exactly_the_meshes_whose_times_make_a_trajectory(exponent, sign, h, n):
