@@ -116,19 +116,25 @@ def equilibria(params: ModelParams, u1: float, u2: float,
     The uninfected point (s/d, 0, 0) always exists.  The infected point
     is included only when the effective rates keep both its T_star and V
     components positive; otherwise the infection cannot persist and the
-    nonphysical point is omitted.
+    nonphysical point is omitted.  ValueError, naming the point, when the
+    parameters overflow one of its components.
     """
     beta_eff, k_eff = effective_rates(kind, params, u1, u2)
-    out = [Equilibrium(SystemState(params.s / params.d, 0.0, 0.0),
-                       EquilibriumKind.UNINFECTED)]
+    out = [_equilibrium(EquilibriumKind.UNINFECTED, params.s / params.d, 0.0, 0.0)]
     if beta_eff * k_eff > 0.0:
         t_eq = params.m1 * params.m2 / (k_eff * beta_eff)
         tstar_eq = params.s / params.m2 - params.d * params.m1 / (beta_eff * k_eff)
         v_eq = k_eff * params.s / (params.m1 * params.m2) - params.d / beta_eff
         if tstar_eq > 0.0 and v_eq > 0.0:
-            out.append(Equilibrium(SystemState(t_eq, tstar_eq, v_eq),
-                                   EquilibriumKind.INFECTED))
+            out.append(_equilibrium(EquilibriumKind.INFECTED, t_eq, tstar_eq, v_eq))
     return out
+
+
+def _equilibrium(kind: EquilibriumKind, T: float, T_star: float, V: float) -> Equilibrium:
+    try:
+        return Equilibrium(SystemState(T, T_star, V), kind)
+    except ValueError as err:
+        raise ValueError(f"the parameters overflow the {kind.value} equilibrium: {err}") from None
 
 
 def jacobian(params: ModelParams, u1: float, u2: float, kind: ModelKind,

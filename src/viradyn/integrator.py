@@ -31,6 +31,7 @@ DEFAULT_STEP = 0.1
 
 _REL_TOL = 1e-9  # mesh uniformity / divisibility tolerance
 _SPACING_BLOCK = 1 << 16  # mesh times per spacing check, to bound its memory
+_SCAN_LIMIT = 1 << 25  # mesh steps compared one by one (about 1 s) before a mesh is refused
 
 
 def mesh_index(a: float, t: float, h: float) -> int | None:
@@ -77,13 +78,9 @@ class MeshSpec:
                 f"integral number of steps (got {(self.b - self.a) / self.h!r})"
             )
         # each time a + i*h is within 3 * 2**-53 * max(|a|, |b|) of exact, so two steps differ by
-        # 1e-9 relative only past this bound, and only once |a*q| + i*h*q >= 2**53, q = max(aq, hq)
-        (ap, aq), (hp, hq) = float(self.a).as_integer_ratio(), float(self.h).as_integer_ratio()
-        last_exact = (2**53 - 1 - abs(ap * max(hq // aq, 1))) // (hp * max(aq // hq, 1))
-        if max(abs(self.a), abs(self.b)) * 2.0**-49 > _REL_TOL * self.h and last_exact < n:
-            for i in range(max(last_exact, 0), n, _SPACING_BLOCK):  # vs the first step of times()
-                _check_spacing(self.times(i, min(i + _SPACING_BLOCK, n)), self.a + self.h - self.a,
-                               f"the times of mesh [{self.a}, {self.b}] with step h={self.h!r}")
+        # 1e-9 relative only past this bound
+        if max(abs(self.a), abs(self.b)) * 2.0**-49 > _REL_TOL * self.h:
+            _check_times(self, n)
 
     @property
     def n_steps(self) -> int:
@@ -91,6 +88,76 @@ class MeshSpec:
 
     def times(self, first: int = 0, last: int | None = None) -> np.ndarray:
         return self.a + np.arange(first, (self.n_steps if last is None else last) + 1) * self.h
+
+
+def _check_times(mesh: MeshSpec, n: int) -> None:
+    """ValueError unless every step of ``mesh.times()`` is within 1e-9 relative of its
+    first, as :class:`Trajectory` requires, or when that takes too long to decide.
+
+    Below index 2**53, i is an exact float and the time is a + i*h rounded twice:
+    i*h to the float spacing of its binade, then a plus that to the time's.  So
+    the indices are cut into runs where both binades are fixed, and a run passes
+    unscanned when both spacings are too fine to move a step by 1e-9 relative, or
+    when both divide h: then i*h is exact and a + i*h rounds the same way at each i,
+    or on a tie alternately down and up.  Every other run, each step from one run to
+    the next and the indices past 2**53 (where i rounds, so a step is 0) are compared
+    one by one; past ``_SCAN_LIMIT`` such steps the mesh is refused.
+    """
+    a, h = float(mesh.a), float(mesh.h)
+    h1 = a + h - a  # the first step of times(), which the others must match
+    what = f"the times of mesh [{mesh.a}, {mesh.b}] with step h={mesh.h!r}"
+    if not h1 > 0.0:
+        raise ValueError(f"{what} must be uniformly spaced; the first step is {h1!r}")
+    # a = A and h = H in units of 2**-d, so the exact a + i*h is A + i*H
+    (ap, aq), (hp, hq) = a.as_integer_ratio(), h.as_integer_ratio()
+    d = max(aq, hq).bit_length() - 1
+    A, H = ap << d >> (aq.bit_length() - 1), hp << d >> (hq.bit_length() - 1)
+
+    def spacing(units: int) -> int:  # log2 of the float spacing at units * 2**-d, in units
+        return max(units.bit_length() - 1 - d, -1022) - 52 + d
+
+    def passes(p: int, q: int) -> bool:  # provably, for every step between points p..q
+        top = max(abs(A + p * H), abs(A + q * H)) + 2 * H  # bounds |a + x_i|, x_i = fl(i*h)
+        slack = math.ldexp(1.0, spacing(top) - d) + math.ldexp(1.0, spacing((q + 1) * H) - d)
+        if slack + abs(h - h1) + h * 2.0**-51 <= 0.99 * _REL_TOL * h1:
+            return True
+        u = spacing(abs(A + p * H))  # that of the time's binade, when the run has one
+        if (A + p * H) * (A + q * H) <= 0 or spacing(abs(A + q * H)) != u or \
+                max(u, spacing(q * H)) > (H & -H).bit_length() - 1:
+            return False
+        ut = math.ldexp(1.0, u - d)
+        tie = u > 0 and A % (1 << u) == 1 << (u - 1) and H >> u & 1
+        return not any(abs(s - h1) > _REL_TOL * h1 for s in ((h - ut, h + ut) if tie else (h,)))
+
+    budget = _SCAN_LIMIT
+
+    def scan(p: int, q: int) -> None:  # every step between points p..q
+        nonlocal budget
+        for i in range(p, q, _SPACING_BLOCK):
+            if budget <= 0:
+                raise ValueError(f"{what} cannot be checked for uniform spacing in bounded "
+                                 f"time: more than {_SCAN_LIMIT} steps would be compared "
+                                 "one by one")
+            j = min(i + _SPACING_BLOCK, q)
+            _check_spacing(mesh.times(i, j), h1, what)
+            budget -= j - i
+
+    # every time up to index ``first`` is exact: |A| + i*H < 2**53
+    first, last = max((2**53 - 1 - abs(A)) // H, 0), min(n, 2**53)
+    if first < last and not passes(first, last):
+        # the first index whose time reaches each binade (0 apart) and whose i*h reaches each
+        width = max(abs(A + first * H), abs(A + last * H)).bit_length()
+        edges = [0, *(1 << k for k in range(width + 1)),
+                 *(1 - (1 << k) for k in range(1, width + 2))]
+        cuts = {-((A - edge) // H) for edge in edges}
+        cuts |= {-(-(1 << k) // H) for k in range((last * H).bit_length() + 1)}
+        starts = [first, *sorted(i for i in cuts if first < i <= last)]
+        for p, q in zip(starts, [i - 1 for i in starts[1:]] + [last]):
+            if p > first:
+                scan(p - 1, p)
+            if q > p and not passes(p, q):
+                scan(p, q)
+    scan(max(first, last), n)
 
 
 @dataclass(frozen=True)

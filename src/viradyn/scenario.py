@@ -171,8 +171,7 @@ def compute_metrics(trajectory: Trajectory, schedule: EfficacySchedule) -> Metri
 
 def run(config: ScenarioConfig) -> ScenarioResult:
     """Integrate the configured model and attach metrics."""
-    trajectory = _integrate(config, _rate_runs(config))
-    return ScenarioResult(config, trajectory, compute_metrics(trajectory, config.schedule))
+    return next(_run_sharing_prefixes([config]))[0]
 
 
 def _rate_runs(config: ScenarioConfig) -> list[tuple[int, int, tuple[float, float]]]:
@@ -193,8 +192,9 @@ def _rate_runs(config: ScenarioConfig) -> list[tuple[int, int, tuple[float, floa
     return canonical
 
 
-def _integrate(config: ScenarioConfig, runs: list, prefix: np.ndarray | None = None) -> Trajectory:
-    """RK4 across the mesh, holding each step's (beta_eff, k_eff) from ``runs``.
+def _integrate(config: ScenarioConfig, runs: list, times: np.ndarray,
+               prefix: np.ndarray | None = None) -> Trajectory:
+    """RK4 across the mesh ``times``, holding each step's (beta_eff, k_eff) from ``runs``.
 
     Each window covers the whole steps [i0, i1) between its edges, which
     are mesh points, so a step never straddles a switch and the method
@@ -207,12 +207,7 @@ def _integrate(config: ScenarioConfig, runs: list, prefix: np.ndarray | None = N
     params, mesh = config.params, config.mesh
     n, h = mesh.n_steps, mesh.h
     s, d, m1, m2 = params.s, params.d, params.m1, params.m2
-    try:
-        states = np.empty((n + 1, 3))
-    except MemoryError:
-        raise ValueError(f"a trajectory of {n} steps on the mesh [{mesh.a}, {mesh.b}] with "
-                         f"step h={h!r} needs {24 * (n + 1)} bytes, more than can be "
-                         "allocated") from None
+    states = _allocated(mesh, lambda: np.empty((n + 1, 3)))
     start = 0 if prefix is None else len(prefix) - 1
     states[:start + 1] = config.initial.as_array() if prefix is None else prefix
     T, Ts, V = states[start].tolist()
@@ -243,7 +238,6 @@ def _integrate(config: ScenarioConfig, runs: list, prefix: np.ndarray | None = N
             V = V + (k1V + 2.0 * k2V + 2.0 * k3V + k4V) / 6.0
             out[j], out[j + 1], out[j + 2] = T, Ts, V
 
-    times = mesh.times()
     finite = np.isfinite(states).all(axis=1)
     if not finite.all():
         j = int(np.argmin(finite)) - 1
@@ -256,6 +250,16 @@ def _integrate(config: ScenarioConfig, runs: list, prefix: np.ndarray | None = N
                                          label=config.label or None) from None
         raise RuntimeError(f"step {j} is finite in rk4_step but not in the kernel")
     return Trajectory(times=times, states=states)
+
+
+def _allocated(mesh: MeshSpec, make):
+    """``make()``, with a MemoryError turned into a ValueError naming the mesh."""
+    try:
+        return make()
+    except MemoryError:
+        raise ValueError(f"a trajectory of {mesh.n_steps} steps on the mesh [{mesh.a}, "
+                         f"{mesh.b}] with step h={mesh.h!r} needs {24 * (mesh.n_steps + 1)} "
+                         "bytes, more than can be allocated") from None
 
 
 def run_matrix(base: ScenarioConfig,
@@ -275,7 +279,16 @@ def _run_sharing_prefixes(configs: list[ScenarioConfig]
     earlier config it copied rows 0..steps from, or None.  Configs with equal
     params, mesh start, step and initial bits (-0.0 prints apart from 0.0) agree
     row for row until their rate runs differ: each copies the longest such prefix
-    of an earlier config, held only until its last copier runs, and marches the rest."""
+    of an earlier config, held only until its last copier runs, and marches the rest.
+    Configs with equal mesh start and step share one read-only times array, as long
+    as their longest mesh: a + i*h has the same bits whatever the mesh's end, so
+    each trajectory's times are a prefix view equal to its ``mesh.times()``."""
+    # the longest mesh on each (start, step): in order of length, the last one wins
+    longest = {(m.a, m.h): m for m in sorted((c.mesh for c in configs), key=lambda m: m.n_steps)}
+    shared_times = {key: _allocated(mesh, lambda: np.asarray(mesh.times(), dtype=float))
+                    for key, mesh in longest.items()}
+    for times in shared_times.values():
+        times.flags.writeable = False
     runs = [_rate_runs(c) for c in configs]
     groups = [(c.params, c.mesh.a, c.mesh.h, c.initial.as_array().tobytes()) for c in configs]
     sources = []  # (steps shared, index of the config they are copied from)
@@ -291,7 +304,8 @@ def _run_sharing_prefixes(configs: list[ScenarioConfig]
     last_use = {j: i for i, (shared, j) in enumerate(sources) if shared}
     kept = {}
     for i, (config, (shared, j)) in enumerate(zip(configs, sources)):
-        trajectory = _integrate(config, runs[i], kept[j][:shared + 1] if shared else None)
+        times = shared_times[config.mesh.a, config.mesh.h][:config.mesh.n_steps + 1]
+        trajectory = _integrate(config, runs[i], times, kept[j][:shared + 1] if shared else None)
         if shared and last_use[j] == i:
             del kept[j]
         if i in last_use:

@@ -443,6 +443,19 @@ def test_step_count_that_overflows_a_float_exits_two(tmp_path, capsys, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("params, point, component", [
+    (["k=1e308", "beta=1e308"], "infected", "V"),
+    (["d=1e-310"], "uninfected", "T"),
+])
+def test_parameters_that_overflow_an_equilibrium_exit_two_naming_it(tmp_path, capsys, params,
+                                                                     point, component):
+    argv = ["analyze", *(f"--param={p}" for p in params), f"--out={tmp_path / 'a.txt'}"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (f"error: the parameters overflow the {point} equilibrium: "
+                                       f"state component {component} must be finite\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_trajectory_too_large_to_allocate_exits_two_and_writes_nothing(tmp_path):
     resource = pytest.importorskip("resource")
 

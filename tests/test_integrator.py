@@ -1,12 +1,13 @@
 """RK4 stepper and mesh driver: exactness, order, and failure modes."""
 
 import math
+import signal
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from viradyn import MeshSpec, Trajectory, integrate, rk4_step
+from viradyn import MeshSpec, Trajectory, integrate, integrator, rk4_step
 from viradyn.errors import IntegrationBlowupError
 from viradyn.integrator import mesh_index, negative_components
 
@@ -78,6 +79,85 @@ def test_mesh_accepts_exactly_the_meshes_whose_times_make_a_trajectory(exponent,
     assume(a < b and mesh_index(a, b, h) == n)
     try:
         Trajectory(times, np.zeros((n + 1, 1)))
+        trajectory_ok = True
+    except ValueError:
+        trajectory_ok = False
+    try:
+        MeshSpec(a, b, h)
+        mesh_ok = True
+    except ValueError as err:
+        assert "uniformly spaced" in str(err)
+        mesh_ok = False
+    assert mesh_ok == trajectory_ok
+
+
+@pytest.fixture
+def deadline():
+    """Fail a test that runs past 10 s, where a hang would stop the suite."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeoutError("ran past 10 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(10)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_mesh_whose_start_has_bits_finer_than_its_step_is_decided_in_bounded_time(deadline):
+    # a = 2**-40: past index 8,191 every a + i*h rounds to the whole number i, so each
+    # step is exactly 1 up to 2**53, where i itself rounds and a step is 0
+    with pytest.raises(ValueError, match=r"\[9\.094947017729282e-13, 1e\+16\] with step h=1\.0 "
+                                         r"must be uniformly spaced; one step is 0\.0$"):
+        MeshSpec(2.0**-40, 1e16, 1.0)
+    assert MeshSpec(2.0**-40, 2.0**40, 1.0).n_steps == 2**40
+
+
+def test_mesh_with_exact_or_finely_rounded_times_is_accepted_without_a_scan(monkeypatch):
+    def scan(*args):
+        raise AssertionError("scanned")
+
+    monkeypatch.setattr(integrator, "_check_spacing", scan)
+    assert MeshSpec(0.0, 1e12, 0.125).n_steps == 8 * 10**12  # every time exact
+    assert MeshSpec(1e5, 100400.0, 0.1).n_steps == 4000  # spacing 1.5e-11, step 0.1
+
+
+def test_mesh_that_would_need_too_long_a_scan_is_refused(monkeypatch):
+    # its steps drift past 1e-9 relative only millions of steps in
+    monkeypatch.setattr(integrator, "_SCAN_LIMIT", 1 << 16)
+    with pytest.raises(ValueError, match=r"^the times of mesh \[0\.0, 10000000\.0\] with step "
+                                         r"h=0\.1 cannot be checked for uniform spacing in "
+                                         r"bounded time: more than 65536 steps"):
+        MeshSpec(0.0, 1e7, 0.1)
+
+
+@settings(deadline=None)
+@given(exponent=st.integers(0, 42), bits=st.integers(-2**20, 2**20), shift=st.integers(0, 60),
+       sign=st.sampled_from([1.0, -1.0]), back=st.booleans(),
+       h=st.sampled_from([1.0, 0.375, 3.0, 2.0**-10, 3 * 2.0**-10, 0.1, 1 / 3, 1 + 2.0**-29,
+                          0.5 + 2.0**-30]),
+       n=st.integers(1, 3000))
+# past 2**23, from step 5 on, a + i*h ties at every i and rounds alternately down and up
+@example(exponent=23, bits=-(5 * 2**30 + 3), shift=30, sign=1.0, back=False, h=1 + 2.0**-29,
+         n=7)
+# every step is exactly h but the one into the binade of 2**30, which rounds
+@example(exponent=30, bits=-(50 * 3 * 2**20 + 1), shift=23, sign=1.0, back=False, h=0.375,
+         n=1000)
+def test_mesh_with_a_finely_divided_start_agrees_with_its_trajectory(exponent, bits, shift,
+                                                                     sign, back, h, n):
+    # near a power of two, with bits below h and, when ``back``, times that cross 0: times
+    # whose rounding the check proves uniform, alternating on ties, or compares step by step
+    a = sign * 2.0**exponent + bits * 2.0**-shift - back * (n // 2) * h
+    b = a + n * h
+    assume(a < b and mesh_index(a, b, h) == n)
+    try:
+        Trajectory(a + np.arange(n + 1) * h, np.zeros((n + 1, 1)))
         trajectory_ok = True
     except ValueError:
         trajectory_ok = False

@@ -1,6 +1,7 @@
 """The scenario RK4 kernel: rates held constant over each step, window
 edges on mesh points, and the generic integrator as its reference."""
 
+import itertools
 import json
 import math
 import random
@@ -330,3 +331,37 @@ def test_run_matrix_equals_standalone_runs(kind):
     configs = [replace(base, schedule=base.schedule.with_efficacies(u1, u2), label=r.config.label)
                for (u1, u2), r in zip(levels, results)]
     assert_equals_standalone_runs(configs, results)
+
+
+def assert_one_read_only_times_array_per_start_and_step(results):
+    """Each trajectory's times equal its ``mesh.times()`` bit for bit and view one
+    read-only array shared by every trajectory on the same mesh start and step."""
+    by_start = {}
+    for result in results:
+        times, mesh = result.trajectory.times, result.config.mesh
+        assert times.tobytes() == mesh.times().tobytes(), result.config.label
+        assert not times.flags.writeable and not times.base.flags.writeable
+        by_start.setdefault((mesh.a, mesh.h), []).append(times)
+    for group in by_start.values():
+        assert all(np.shares_memory(x, y) for x, y in itertools.combinations(group, 2))
+    return by_start
+
+
+def test_run_matrix_trajectories_share_one_read_only_times_array():
+    base = ScenarioConfig(ModelKind.TWO_CONTROL, PARAMS, MeshSpec(0.0, 600.0, 0.1),
+                          DEFAULT_INITIAL, EfficacySchedule.window(150.0, 400.0, 0.0, 0.0))
+    results = run_matrix(base, [(u, u) for u in (0.0, 0.2, 0.3, 0.5)])
+    assert len(assert_one_read_only_times_array_per_start_and_step(results)) == 1
+    # nothing outlives the call: another call builds its own array
+    again = run_matrix(base, [(0.2, 0.2)])[0].trajectory.times
+    assert not np.shares_memory(again, results[0].trajectory.times)
+
+
+def test_reference_suite_shares_one_times_array_per_start_and_step():
+    # the 400-day and 600-day meshes start at 0 with step 0.1: one array, the 600-day one
+    results = [r for r, _ in _run_sharing_prefixes(reference_scenarios())]
+    assert len(results) == 14
+    assert len(assert_one_read_only_times_array_per_start_and_step(results)) == 1
+    coarse = [r for r, _ in _run_sharing_prefixes(reference_scenarios(h=0.5)
+                                                  + reference_scenarios())]
+    assert len(assert_one_read_only_times_array_per_start_and_step(coarse)) == 2
