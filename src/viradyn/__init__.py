@@ -37,7 +37,7 @@ from .model import (
     TreatmentWindow,
     effective_rates,
     rhs,
-    vector_field,
+    rhs_at_rates,
 )
 from .scenario import (
     COMBINED_DOSAGES,
@@ -60,7 +60,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ModelKind", "ModelParams", "TreatmentWindow", "EfficacySchedule",
-    "SystemState", "effective_rates", "rhs", "vector_field",
+    "SystemState", "effective_rates", "rhs", "rhs_at_rates",
     "MeshSpec", "Trajectory", "rk4_step", "integrate",
     "EquilibriumKind", "Equilibrium", "EigenDecomposition",
     "StabilityClass", "StabilityReport", "LinearizedSolution",

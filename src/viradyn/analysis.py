@@ -365,19 +365,19 @@ def eigen3(A: np.ndarray) -> EigenDecomposition:
     return EigenDecomposition(values, np.array(list(zip(*vectors)), dtype=complex))
 
 
-def classify(eig: EigenDecomposition, tol: float = STABILITY_TOL) -> StabilityReport:
+def classify(eig: EigenDecomposition) -> StabilityReport:
     """Local stability from the eigenvalue real parts.
 
-    Asymptotically stable when every real part is below -tol; hyperbolic
-    when no real part sits within tol of zero (the case in which the
-    linearization is faithful to the nonlinear flow near the point).
+    Asymptotically stable when every real part is below -STABILITY_TOL;
+    hyperbolic when none is within STABILITY_TOL of zero (the case in
+    which the linearization is faithful to the nonlinear flow nearby).
     """
     re = eig.eigenvalues.real.tolist()
     abscissa = max(re)
-    hyperbolic = all(abs(x) > tol for x in re)
+    hyperbolic = all(abs(x) > STABILITY_TOL for x in re)
     if not hyperbolic:
         cls = StabilityClass.NON_HYPERBOLIC
-    elif abscissa < -tol:
+    elif abscissa < -STABILITY_TOL:
         cls = StabilityClass.ASYMPTOTICALLY_STABLE
     else:
         cls = StabilityClass.UNSTABLE

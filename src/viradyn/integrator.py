@@ -28,6 +28,7 @@ VectorField = Callable[[float, np.ndarray], np.ndarray]
 
 #: step size used by all built-in scenarios (days)
 DEFAULT_STEP = 0.1
+NEGATIVE_FLOOR = -1e-6  #: state entries below this are more than round-off
 
 _REL_TOL = 1e-9  # mesh uniformity / divisibility tolerance
 _SPACING_BLOCK = 1 << 16  # mesh times per spacing check, to bound its memory
@@ -246,12 +247,12 @@ def integrate(f: VectorField, mesh: MeshSpec, w0) -> Trajectory:
     return Trajectory(times=times, states=states)
 
 
-def negative_components(trajectory: Trajectory, floor: float = -1e-6) -> list[tuple[int, int]]:
-    """(row, column) indices of state entries below ``floor``.
+def negative_components(trajectory: Trajectory) -> list[tuple[int, int]]:
+    """(row, column) indices of state entries below ``NEGATIVE_FLOOR``.
 
     Trajectories are stored unclipped; entries slightly below zero are
     expected round-off transients, anything below the floor is worth a
     warning upstream.
     """
-    rows, cols = np.nonzero(trajectory.states < floor)
+    rows, cols = np.nonzero(trajectory.states < NEGATIVE_FLOOR)
     return list(zip(rows.tolist(), cols.tolist()))

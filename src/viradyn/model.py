@@ -23,9 +23,10 @@ production only and is stored in the ``u2`` slot of the schedule.
 Efficacies vary in time as piecewise-constant ``EfficacySchedule``
 windows.  Windows are half-open ``[t_start, t_end)``, so a therapy
 "terminated at day 400" already reads efficacy 0 at t = 400.  Outside
-every window the efficacies are (0, 0) and, because the right-hand side
-depends on time only through the schedule, an empty schedule makes the
-system autonomous.
+every window the efficacies are (0, 0).  Within a window the rates are
+fixed: integrate :func:`rhs_at_rates` at each piece's
+:func:`effective_rates`, as ``scenario.run`` does; :func:`rhs` reads the
+schedule at one time and is for pointwise evaluation only.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -47,9 +47,7 @@ __all__ = [
     "SystemState",
     "effective_rates",
     "rhs",
-    "rhs_array",
     "rhs_at_rates",
-    "vector_field",
 ]
 
 
@@ -118,9 +116,6 @@ class TreatmentWindow:
             if not 0.0 <= u <= 1.0:
                 raise ValueError(f"efficacy {name} must lie in [0, 1], got {u!r}")
 
-    def contains(self, t: float) -> bool:
-        return self.t_start <= t < self.t_end
-
 
 @dataclass(frozen=True)
 class EfficacySchedule:
@@ -148,7 +143,7 @@ class EfficacySchedule:
 
     def efficacies_at(self, t: float) -> tuple[float, float]:
         for seg in self.segments:
-            if seg.contains(t):
+            if seg.t_start <= t < seg.t_end:
                 return seg.u1, seg.u2
         return 0.0, 0.0
 
@@ -201,15 +196,6 @@ def effective_rates(kind: ModelKind, params: ModelParams,
     return params.beta, (1.0 - u2) * params.k
 
 
-def rhs_array(kind: ModelKind, params: ModelParams, schedule: EfficacySchedule,
-              t: float, w) -> np.ndarray:
-    """Like :func:`rhs` but on a raw length-3 array; :func:`vector_field` wraps it."""
-    if not math.isfinite(t):
-        raise ValueError(f"time must be finite, got {t!r}")
-    u1, u2 = schedule.efficacies_at(t)
-    return rhs_at_rates(params, *effective_rates(kind, params, u1, u2), w)
-
-
 def rhs_at_rates(params: ModelParams, beta_eff: float, k_eff: float, w) -> np.ndarray:
     """The right-hand side with the infection and production rates given directly.
 
@@ -231,19 +217,12 @@ def rhs_at_rates(params: ModelParams, beta_eff: float, k_eff: float, w) -> np.nd
 
 def rhs(kind: ModelKind, params: ModelParams, schedule: EfficacySchedule,
         t: float, state: SystemState) -> np.ndarray:
-    """Time derivative (dT/dt, dT_star/dt, dV/dt) at ``state``.
+    """Time derivative (dT/dt, dT_star/dt, dV/dt) at ``state`` and time ``t``.
 
-    Pure: inputs are never mutated.  Time enters only through the
-    schedule lookup.
+    Pure, and pointwise: the schedule is read at ``t`` alone, so this is
+    not for integrating across a window edge (see :func:`rhs_at_rates`).
     """
-    return rhs_array(kind, params, schedule, t, state.as_array())
-
-
-def vector_field(kind: ModelKind, params: ModelParams,
-                 schedule: EfficacySchedule) -> Callable[[float, np.ndarray], np.ndarray]:
-    """Adapter producing the f(t, w) callable the integrator expects."""
-
-    def f(t: float, w: np.ndarray) -> np.ndarray:
-        return rhs_array(kind, params, schedule, t, w)
-
-    return f
+    if not math.isfinite(t):
+        raise ValueError(f"time must be finite, got {t!r}")
+    rates = effective_rates(kind, params, *schedule.efficacies_at(t))
+    return rhs_at_rates(params, *rates, state.as_array())

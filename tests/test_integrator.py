@@ -249,9 +249,11 @@ def test_fourth_order_convergence_on_decay():
 
 
 def test_hiv_basic_reaches_equilibrium_within_one_percent():
-    from viradyn import EfficacySchedule, ModelKind, ModelParams, vector_field
+    from viradyn import ModelKind, ModelParams, effective_rates, rhs_at_rates
 
-    f = vector_field(ModelKind.BASIC, ModelParams(), EfficacySchedule())
+    params = ModelParams()
+    rates = effective_rates(ModelKind.BASIC, params, 0.0, 0.0)
+    f = lambda t, w: rhs_at_rates(params, *rates, w)
     traj = integrate(f, MeshSpec(0.0, 1000.0, 0.1), [1200.0, 0.0, 100.0])
     equilibrium = np.array([240.0, 21.666666666666668, 902.7777777777778])
     assert np.all(np.abs(traj.states[-1] - equilibrium) <= 0.01 * np.abs(equilibrium))

@@ -21,12 +21,13 @@ from viradyn import (
     SystemState,
     TreatmentWindow,
     compute_metrics,
+    effective_rates,
     integrate,
     reference_scenarios,
+    rhs_at_rates,
     rk4_step,
     run,
     run_matrix,
-    vector_field,
 )
 from viradyn.cli import main
 from viradyn.errors import IntegrationBlowupError
@@ -47,9 +48,8 @@ def piecewise_reference(config):
     w = config.initial.as_array()
     rows = [w[None, :]]
     for lo, hi in zip(edges, edges[1:]):
-        u1, u2 = schedule.efficacies_at(lo)
-        constant = EfficacySchedule.window(lo - 1.0, hi + 1.0, u1, u2)
-        f = vector_field(config.kind, config.params, constant)
+        rates = effective_rates(config.kind, config.params, *schedule.efficacies_at(lo))
+        f = lambda t, w: rhs_at_rates(config.params, *rates, w)
         states = integrate(f, MeshSpec(lo, hi, mesh.h), w).states
         rows.append(states[1:])
         w = states[-1]
@@ -148,7 +148,8 @@ def test_blowup_inside_a_window_matches_a_hand_replay():
     w = config.initial.as_array()
     for j, t in enumerate(config.mesh.times()[:-1]):
         u = 0.5 if i0 <= j < i1 else 0.0
-        f = vector_field(config.kind, PARAMS, EfficacySchedule.window(t - 1.0, t + 1.0, u, u))
+        rates = effective_rates(config.kind, PARAMS, u, u)
+        f = lambda t, w: rhs_at_rates(PARAMS, *rates, w)
         try:
             w = rk4_step(f, float(t), w, h)
         except IntegrationBlowupError as err:

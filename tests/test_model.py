@@ -14,9 +14,9 @@ from viradyn import (
     TreatmentWindow,
     effective_rates,
     rhs,
+    rhs_at_rates,
 )
 from viradyn.errors import NonFiniteStateError
-from viradyn.model import rhs_array
 
 EMPTY = EfficacySchedule()
 
@@ -222,10 +222,11 @@ def test_raising_u2_slows_virion_production(u_lo, u_hi):
     ([0.0, 0.0, -math.inf], "V"),
 ])
 def test_nonfinite_state_names_the_component(w, name):
+    p = ModelParams()
     with pytest.raises(NonFiniteStateError, match=name):
-        rhs_array(ModelKind.BASIC, ModelParams(), EMPTY, 0.0, np.array(w))
+        rhs_at_rates(p, p.beta, p.k, np.array(w))
 
 
 def test_nonfinite_time_rejected():
     with pytest.raises(ValueError, match="time"):
-        rhs_array(ModelKind.BASIC, ModelParams(), EMPTY, math.inf, np.zeros(3))
+        rhs(ModelKind.BASIC, ModelParams(), EMPTY, math.inf, SystemState(0.0, 0.0, 0.0))
