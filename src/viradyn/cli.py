@@ -57,6 +57,7 @@ _CONFIG_SECTIONS = {"params": _PARAM_NAMES, "mesh": _field_names(MeshSpec),
 _WINDOW_KEYS = _field_names(TreatmentWindow)
 _CONFIG_KEYS = ("kind", *_CONFIG_SECTIONS, "schedule", "label")
 _JSON_TYPES = {"object": dict, "list": list, "number": (int, float), "string": str}
+# the metric columns: the final state's three components, then MetricSet fields by name
 _METRIC_KEYS = (
     "final_T", "final_Tstar", "final_V",
     "peak_viral_load", "peak_viral_load_day",
@@ -171,6 +172,8 @@ _FLAGS = {
     "--treat": ("treat", _treat_arg, True, "START:END:U1[:U2]", "half-open treatment window"),
     "--out": ("out", Path, False, "OUT", "output path"),
 }
+# the flags reproduce takes; of --config, the last, it reads only the params
+_REPRODUCE_FLAGS = ("--param", "--h", "--out", "--config")
 # a "-" and more, but not a number such as -1e2 or -.5, nor text holding a space
 _looks_like_flag = re.compile(r"-(?!\.?\d)[^ ]+\Z").match
 
@@ -290,13 +293,12 @@ def resolve_scenario(cli: CliConfig) -> ScenarioConfig:
     """Merge defaults, the optional JSON file, and inline flags."""
     file = {} if cli.config_path is None else _load_config_file(cli.config_path)
     if cli.command == "reproduce":  # the suite fixes all but the parameters and h
-        flags = {"--model": cli.model, "--t0": cli.t0, "--t1": cli.t1, "--init": cli.init,
-                 "--treat": cli.treat or None}
-        fixed = [flag for flag, value in flags.items() if value is not None]
+        fixed = [flag for flag, (name, *_) in _FLAGS.items()
+                 if flag not in _REPRODUCE_FLAGS and getattr(cli, name) not in (None, ())]
         fixed += [f"--config: {name}" for name in file if name != "params"]
         if fixed:
-            raise UsageError(f"{fixed[0]}: reproduce runs the built-in scenario suite and "
-                             "takes only --param, --h, --out and the params of --config")
+            raise UsageError(f"{fixed[0]}: reproduce runs the built-in scenario suite and takes "
+                             f"only {', '.join(_REPRODUCE_FLAGS[:-1])} and the params of --config")
     kind = cli.model or file.get("kind", ModelKind.BASIC)
     flag_mesh = {"a": cli.t0, "b": cli.t1, "h": cli.h}
     params = {**file.get("params", {}), **dict(cli.param_overrides)}
@@ -318,20 +320,17 @@ def _fmt(x: float, digits: int = 9) -> str:
     return f"{x:.{digits}g}"
 
 
-def _fmt_complex(z: complex, digits: int = 6) -> str:
+def _fmt_complex(z: complex) -> str:
     if z.imag == 0.0:
-        return _fmt(z.real, digits)
+        return _fmt(z.real, 6)
     sign = "+" if z.imag >= 0.0 else "-"
-    return f"{_fmt(z.real, digits)}{sign}{_fmt(abs(z.imag), digits)}i"
+    return f"{_fmt(z.real, 6)}{sign}{_fmt(abs(z.imag), 6)}i"
 
 
 def _metric_values(result: ScenarioResult) -> list[str]:
     """The metrics in ``_METRIC_KEYS`` order, formatted; ``none`` where undefined."""
     m = result.metrics
-    values = (m.final_state.T, m.final_state.T_star, m.final_state.V,
-              m.peak_viral_load, m.peak_viral_load_day,
-              m.min_viral_load_during_treatment, m.min_viral_load_during_treatment_day,
-              m.suppression_days, m.rebound_day)
+    values = (*vars(m.final_state).values(), *(getattr(m, key) for key in _METRIC_KEYS[3:]))
     return ["none" if x is None else _fmt(x) for x in values]
 
 

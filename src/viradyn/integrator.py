@@ -51,7 +51,7 @@ def mesh_index(a: float, t: float, h: float) -> int | None:
 def _check_spacing(times: np.ndarray, h: float, what: str) -> None:
     """ValueError naming ``what`` unless every step of ``times`` is within 1e-9 relative of h."""
     steps = np.diff(times)
-    off = np.abs(steps - h) > _REL_TOL * h
+    off = ~(np.abs(steps - h) <= _REL_TOL * h)  # a NaN step is off too
     if off.any():
         raise ValueError(f"{what} must be uniformly spaced; one step is {float(steps[off][0])!r}")
 
@@ -177,6 +177,8 @@ class Trajectory:
         states = np.asarray(self.states, dtype=float)
         if states.ndim != 2 or len(times) != len(states):
             raise ValueError("states must be a 2-D array with one row per mesh time")
+        if not np.isfinite(times).all():
+            raise ValueError("trajectory times must be finite")
         if len(times) < 2 or times[1] - times[0] <= 0.0:
             raise ValueError("trajectory needs at least two strictly increasing times")
         _check_spacing(times, times[1] - times[0], "trajectory times")
@@ -204,7 +206,7 @@ def rk4_step(f: VectorField, t: float, w: np.ndarray, h: float) -> np.ndarray:
     number, without a warning; a non-finite update from finite stages is
     reported as stage k4.
     """
-    if h <= 0.0:
+    if not h > 0.0:
         raise ValueError(f"step must be positive, got {h!r}")
     w = np.asarray(w, dtype=float)
     if not np.all(np.isfinite(w)):

@@ -285,8 +285,7 @@ def _run_sharing_prefixes(configs: list[ScenarioConfig]
     each trajectory's times are a prefix view equal to its ``mesh.times()``."""
     # the longest mesh on each (start, step): in order of length, the last one wins
     longest = {(m.a, m.h): m for m in sorted((c.mesh for c in configs), key=lambda m: m.n_steps)}
-    shared_times = {key: _allocated(mesh, lambda: np.asarray(mesh.times(), dtype=float))
-                    for key, mesh in longest.items()}
+    shared_times = {key: _allocated(mesh, mesh.times) for key, mesh in longest.items()}
     for times in shared_times.values():
         times.flags.writeable = False
     runs = [_rate_runs(c) for c in configs]
@@ -351,7 +350,7 @@ def compare_linearization(config: ScenarioConfig, perturbation) -> Linearization
     perturbation = np.asarray(perturbation, dtype=float)
     if perturbation.shape != (3,):
         raise ValueError("perturbation must be a 3-vector")
-    if np.any(np.abs(perturbation) > 10.0):
+    if not np.all(np.abs(perturbation) <= 10.0):
         raise ValueError("perturbation components must not exceed 10 in magnitude")
 
     eq_point = infected_equilibrium(config.params)
@@ -387,33 +386,18 @@ def reference_scenarios(params: ModelParams | None = None,
     params = params or ModelParams()
     untreated_mesh = MeshSpec(0.0, 400.0, h)
     treated_mesh = MeshSpec(0.0, 600.0, h)
-    window = (TREATMENT_START, TREATMENT_END)
 
-    scenarios = [
-        ScenarioConfig(ModelKind.BASIC, params, untreated_mesh, state,
-                       EfficacySchedule(), label=f"basic-T0-{state.T:g}")
-        for state in SURVEY_INITIALS
+    def treated(kind, end, u1, u2, label):
+        return ScenarioConfig(kind, params, treated_mesh, DEFAULT_INITIAL,
+                              EfficacySchedule.window(TREATMENT_START, end, u1, u2), label=label)
+
+    return [
+        *(ScenarioConfig(ModelKind.BASIC, params, untreated_mesh, state, EfficacySchedule(),
+                         label=f"basic-T0-{state.T:g}") for state in SURVEY_INITIALS),
+        *(treated(ModelKind.TWO_CONTROL, TREATMENT_END, u, u, f"two-control-u{u:g}")
+          for u in TWO_CONTROL_DOSAGES),
+        *(treated(ModelKind.COMBINED, TREATMENT_END, 0.0, u, f"combined-u{u:g}")
+          for u in COMBINED_DOSAGES),
+        treated(ModelKind.TWO_CONTROL, 600.0, 0.5, 0.5, "two-control-u0.5-continuous"),
+        treated(ModelKind.COMBINED, 600.0, 0.0, 0.7, "combined-u0.7-continuous"),
     ]
-    scenarios += [
-        ScenarioConfig(ModelKind.TWO_CONTROL, params, treated_mesh, DEFAULT_INITIAL,
-                       EfficacySchedule.window(*window, u, u),
-                       label=f"two-control-u{u:g}")
-        for u in TWO_CONTROL_DOSAGES
-    ]
-    scenarios += [
-        ScenarioConfig(ModelKind.COMBINED, params, treated_mesh, DEFAULT_INITIAL,
-                       EfficacySchedule.window(*window, 0.0, u),
-                       label=f"combined-u{u:g}")
-        for u in COMBINED_DOSAGES
-    ]
-    scenarios.append(
-        ScenarioConfig(ModelKind.TWO_CONTROL, params, treated_mesh, DEFAULT_INITIAL,
-                       EfficacySchedule.window(TREATMENT_START, 600.0, 0.5, 0.5),
-                       label="two-control-u0.5-continuous")
-    )
-    scenarios.append(
-        ScenarioConfig(ModelKind.COMBINED, params, treated_mesh, DEFAULT_INITIAL,
-                       EfficacySchedule.window(TREATMENT_START, 600.0, 0.0, 0.7),
-                       label="combined-u0.7-continuous")
-    )
-    return scenarios

@@ -272,6 +272,31 @@ def test_unknown_config_key_rejected(tmp_path):
         resolve_scenario(parse_args(["simulate", "--config", str(path)]))
 
 
+def test_config_file_that_cannot_be_read_exits_two(tmp_path, capsys):
+    path = tmp_path / "missing.json"
+    out = tmp_path / "out.csv"
+    assert main(["simulate", f"--config={path}", f"--out={out}"]) == 2
+    assert capsys.readouterr().err == (f"error: --config: cannot read {path}: "
+                                       "No such file or directory\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_config_file_of_invalid_json_exits_two(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text('{"kind": ')
+    assert main(["simulate", f"--config={path}", f"--out={tmp_path / 'out.csv'}"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: --config: invalid JSON in {path}: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
+
+
+def test_config_window_without_u2_exits_two(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"schedule": [{"t_start": 1.0, "t_end": 2.0, "u1": 0.5}]}))
+    assert main(["simulate", f"--config={path}", f"--out={tmp_path / 'out.csv'}"]) == 2
+    assert capsys.readouterr().err == "error: --config: a schedule window has no 'u2'\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+
 # --- emit_trajectory ----------------------------------------------------------------
 
 def small_result(t_end=0.2):
@@ -378,6 +403,14 @@ def test_linearize_writes_csv_and_report(tmp_path, capsys):
     assert out.exists()
     report = out.with_suffix(".report.txt").read_text()
     assert "max_discrepancy=" in report
+
+
+def test_linearize_init_is_reported_as_its_offset_from_the_equilibrium(tmp_path, capsys):
+    out = tmp_path / "lin.csv"
+    assert main(["linearize", "--init", "241,21.6667,902.778", "--t1", "5",
+                 "--out", str(out)]) == 0
+    report = out.with_suffix(".report.txt").read_text().splitlines()
+    assert report[0] == "perturbation=1,3.33333333e-05,0.000222222222"
 
 
 def test_usage_errors_exit_two(capsys):

@@ -119,6 +119,11 @@ def test_mesh_whose_start_has_bits_finer_than_its_step_is_decided_in_bounded_tim
     assert MeshSpec(2.0**-40, 2.0**40, 1.0).n_steps == 2**40
 
 
+def test_mesh_whose_first_step_rounds_to_zero_is_rejected_naming_it():
+    with pytest.raises(ValueError, match=r"must be uniformly spaced; the first step is 0\.0$"):
+        MeshSpec(2.0**60, 2.0**60 + 256, 1.0)
+
+
 def test_mesh_with_exact_or_finely_rounded_times_is_accepted_without_a_scan(monkeypatch):
     def scan(*args):
         raise AssertionError("scanned")
@@ -223,6 +228,11 @@ def test_nonpositive_step_rejected():
         rk4_step(decay, 0.0, np.array([1.0]), 0.0)
 
 
+def test_nan_step_rejected_as_not_positive():
+    with pytest.raises(ValueError, match="step must be positive, got nan"):
+        rk4_step(decay, 0.0, np.array([1.0]), math.nan)
+
+
 # --- integrate --------------------------------------------------------------
 
 def test_zero_field_trajectory_is_constant():
@@ -317,6 +327,18 @@ def test_initial_state_must_be_finite():
 def test_trajectory_rejects_nonuniform_times():
     with pytest.raises(ValueError, match="uniform"):
         Trajectory(times=np.array([0.0, 0.1, 0.3]), states=np.zeros((3, 1)))
+
+
+@pytest.mark.parametrize("times", [[0.0, 1.0, math.nan], [math.nan, 1.0, 2.0],
+                                   [-math.inf, 0.0, 1.0]])
+def test_trajectory_rejects_non_finite_times(times):
+    with pytest.raises(ValueError, match="trajectory times must be finite"):
+        Trajectory(times=np.array(times), states=np.zeros((3, 1)))
+
+
+def test_spacing_check_counts_a_nan_step_as_off():
+    with pytest.raises(ValueError, match="times must be uniformly spaced; one step is nan"):
+        integrator._check_spacing(np.array([0.0, 1.0, math.nan]), 1.0, "times")
 
 
 def test_trajectory_rejects_length_mismatch():

@@ -1,5 +1,6 @@
 """Scenario runs, clinical metrics, dosage matrices, and linearization checks."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -225,6 +226,11 @@ def test_non_basic_model_rejected():
 def test_large_perturbation_rejected():
     with pytest.raises(ValueError, match="exceed 10"):
         compare_linearization(lin_config(), (11.0, 0.0, 0.0))
+
+
+def test_nan_perturbation_rejected_as_too_large():
+    with pytest.raises(ValueError, match="exceed 10"):
+        compare_linearization(lin_config(), (math.nan, 0.0, 0.0))
 
 
 def test_missing_infected_equilibrium_rejected():
