@@ -20,6 +20,9 @@ class NonFiniteStateError(NumericalError):
         self.value = value
         super().__init__(f"state component {component} is non-finite ({value!r})")
 
+    def __reduce__(self):  # rebuilt from the attributes, not the message, when unpickled
+        return type(self), (self.component, self.value)
+
 
 class IntegrationBlowupError(NumericalError):
     """A Runge-Kutta stage produced a non-finite value."""
@@ -36,6 +39,9 @@ class IntegrationBlowupError(NumericalError):
         if label:
             where += f", scenario {label!r}"
         super().__init__(f"integration blew up ({where})")
+
+    def __reduce__(self):
+        return type(self), (self.t, self.stage, self.step, self.label)
 
 
 class DefectiveMatrixError(NumericalError):

@@ -65,9 +65,15 @@ class MeshSpec:
     h: float
 
     def __post_init__(self):
-        for name in ("a", "b", "h"):
-            if not math.isfinite(getattr(self, name)):
+        for name in ("a", "b", "h"):  # stored as floats, so an int mesh has float times
+            value = getattr(self, name)
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:  # an int too large for a float
+                finite = False
+            if not finite:
                 raise ValueError(f"mesh {name} must be finite")
+            object.__setattr__(self, name, float(value))
         if not self.a < self.b:
             raise ValueError(f"mesh requires a < b, got [{self.a}, {self.b}]")
         if self.h <= 0.0:

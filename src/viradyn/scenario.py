@@ -273,6 +273,18 @@ def run_matrix(base: ScenarioConfig,
         for i, (u1, u2) in enumerate(efficacy_levels)])]
 
 
+def _shared_times(configs: list[ScenarioConfig]) -> dict[tuple[float, float], np.ndarray]:
+    """One read-only times array per (mesh start, step), that of the longest mesh on it:
+    a + i*h has the same bits whatever the mesh's end, so the first ``n_steps + 1``
+    times of a config's array equal its ``mesh.times()``."""
+    # in order of length, the last mesh on each (start, step) wins
+    longest = {(m.a, m.h): m for m in sorted((c.mesh for c in configs), key=lambda m: m.n_steps)}
+    shared = {key: _allocated(mesh, mesh.times) for key, mesh in longest.items()}
+    for times in shared.values():
+        times.flags.writeable = False
+    return shared
+
+
 def _run_sharing_prefixes(configs: list[ScenarioConfig]
                           ) -> Iterator[tuple[ScenarioResult, tuple[int, int] | None]]:
     """``run(config)`` for each config in turn, with the ``(index, steps)`` of the
@@ -280,14 +292,8 @@ def _run_sharing_prefixes(configs: list[ScenarioConfig]
     params, mesh start, step and initial bits (-0.0 prints apart from 0.0) agree
     row for row until their rate runs differ: each copies the longest such prefix
     of an earlier config, held only until its last copier runs, and marches the rest.
-    Configs with equal mesh start and step share one read-only times array, as long
-    as their longest mesh: a + i*h has the same bits whatever the mesh's end, so
-    each trajectory's times are a prefix view equal to its ``mesh.times()``."""
-    # the longest mesh on each (start, step): in order of length, the last one wins
-    longest = {(m.a, m.h): m for m in sorted((c.mesh for c in configs), key=lambda m: m.n_steps)}
-    shared_times = {key: _allocated(mesh, mesh.times) for key, mesh in longest.items()}
-    for times in shared_times.values():
-        times.flags.writeable = False
+    Each trajectory's times are a prefix view of its array in :func:`_shared_times`."""
+    shared_times = _shared_times(configs)
     runs = [_rate_runs(c) for c in configs]
     groups = [(c.params, c.mesh.a, c.mesh.h, c.initial.as_array().tobytes()) for c in configs]
     sources = []  # (steps shared, index of the config they are copied from)

@@ -33,6 +33,20 @@ def test_mesh_rejects_step_that_does_not_divide():
         MeshSpec(0.0, 1.0, 0.3)
 
 
+def test_mesh_of_ints_holds_floats_and_has_float_times():
+    mesh = MeshSpec(0, 10, 1)
+    assert all(type(x) is float for x in (mesh.a, mesh.b, mesh.h))
+    assert mesh.times().dtype == np.float64
+    assert mesh == MeshSpec(0.0, 10.0, 1.0)
+
+
+@pytest.mark.parametrize("a, b, h, name", [(-10 ** 400, 0, 1, "a"), (0, 10 ** 400, 1, "b"),
+                                           (0, 10, 10 ** 400, "h")], ids=["a", "b", "h"])
+def test_mesh_int_too_large_for_a_float_is_not_finite(a, b, h, name):
+    with pytest.raises(ValueError, match=f"mesh {name} must be finite"):
+        MeshSpec(a, b, h)
+
+
 def test_mesh_accepts_inexact_but_near_integral_division():
     mesh = MeshSpec(0.0, 400.0, 0.1)  # (b-a)/h = 4000.0000000000005
     assert mesh.n_steps == 4000

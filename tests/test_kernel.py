@@ -358,6 +358,14 @@ def test_run_matrix_trajectories_share_one_read_only_times_array():
     assert not np.shares_memory(again, results[0].trajectory.times)
 
 
+def test_trajectories_on_a_mesh_of_ints_view_the_shared_times():
+    base = ScenarioConfig(ModelKind.TWO_CONTROL, PARAMS, MeshSpec(0, 60, 1), DEFAULT_INITIAL,
+                          EfficacySchedule.window(20, 40, 0.0, 0.0))
+    assert run(base).trajectory.times.base is not None  # a view, not a float copy
+    results = run_matrix(base, [(0.0, 0.0), (0.2, 0.2)])
+    assert len(assert_one_read_only_times_array_per_start_and_step(results)) == 1
+
+
 def test_reference_suite_shares_one_times_array_per_start_and_step():
     # the 400-day and 600-day meshes start at 0 with step 0.1: one array, the 600-day one
     results = [r for r, _ in _run_sharing_prefixes(reference_scenarios())]
