@@ -13,9 +13,7 @@ import itertools
 import json
 import os
 import re
-import struct
 import sys
-import warnings
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -23,7 +21,7 @@ import numpy as np
 
 from .analysis import classify, eigen3, equilibria, jacobian
 from .errors import NumericalError
-from .integrator import DEFAULT_STEP, MeshSpec, Trajectory
+from .integrator import DEFAULT_STEP, MeshSpec
 from .model import (
     EfficacySchedule,
     ModelKind,
@@ -35,11 +33,10 @@ from .scenario import (
     DEFAULT_INITIAL,
     ScenarioConfig,
     ScenarioResult,
-    _allocated,
+    _forked_results,
     _run_sharing_prefixes,
-    _shared_times,
+    _second_process,
     compare_linearization,
-    compute_metrics,
     infected_equilibrium,
     reference_scenarios,
     run,
@@ -499,95 +496,6 @@ def _cmd_linearize(cli: CliConfig) -> int:
     return 0
 
 
-# a frame from the march's child: the (source, steps) its trajectory copied, or
-# (-1, 0), and then its rows; or (-2, size), and then a pickled exception
-_FRAME = struct.Struct("qq")
-
-
-def _read_into(fd: int, buffer) -> None:
-    """Fill ``buffer`` from the pipe ``fd``; EOFError when the pipe ends first."""
-    view = memoryview(buffer).cast("B")
-    while view:
-        n = os.readv(fd, [view])
-        if not n:
-            raise EOFError
-        view = view[n:]
-
-
-def _received(fd: int, config: ScenarioConfig, shared_times: dict):
-    """The next ``(result, copied)`` of the march's pipe ``fd``, or the exception it carries."""
-    header = bytearray(_FRAME.size)
-    _read_into(fd, header)
-    source, size = _FRAME.unpack(header)
-    if source == -2:
-        payload = bytearray(size)
-        _read_into(fd, payload)
-        import pickle
-        raise pickle.loads(payload)
-    mesh = config.mesh
-    states = _allocated(mesh, lambda: np.empty((mesh.n_steps + 1, 3)))
-    _read_into(fd, states)
-    trajectory = Trajectory(shared_times[mesh.a, mesh.h][:mesh.n_steps + 1], states)
-    return (ScenarioResult(config, trajectory, compute_metrics(trajectory, config.schedule)),
-            None if source < 0 else (source, size))
-
-
-def _forked_results(configs: list[ScenarioConfig]):
-    """``_run_sharing_prefixes(configs)``, marched in a forked child while the caller
-    uses each result: the child streams each trajectory's rows through a pipe, or the
-    exception it raised, which is raised here in its turn.  Closing the generator
-    stops and reaps the child."""
-    import fcntl
-    shared_times = _shared_times(configs)  # a mesh too long to hold fails before the fork
-    r, w = os.pipe()
-    try:
-        with contextlib.suppress(OSError):  # a larger pipe lets the march run further ahead
-            fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, 1 << 20)  # Linux's limit for a user
-        # The child calls no BLAS routine (src/ has no numpy.linalg), so the OpenBLAS
-        # worker thread that Python 3.12+ warns about at a fork holds no lock it needs.
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "This process", DeprecationWarning)
-            pid = os.fork()
-    except BaseException:
-        os.close(r)
-        os.close(w)
-        raise
-    if pid == 0:  # the child never returns into the caller and writes nothing to fds 1 and 2
-        status = 1
-        try:
-            os.close(r)
-            with open(w, "wb") as pipe:
-                try:
-                    for result, copied in _run_sharing_prefixes(configs):
-                        pipe.write(_FRAME.pack(*(copied or (-1, 0))))
-                        pipe.write(result.trajectory.states.data)
-                        pipe.flush()
-                except Exception as err:
-                    import pickle
-                    payload = pickle.dumps(err)
-                    pipe.write(_FRAME.pack(-2, len(payload)) + payload)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(w)
-    try:
-        for config in configs:
-            yield _received(r, config, shared_times)
-    except EOFError:
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        pid = None
-        raise ChildProcessError(
-            f"the march ended before scenario {config.label!r}: its process "
-            + (f"was killed by signal {-code}" if code < 0 else f"exited with code {code}")
-        ) from None
-    finally:
-        os.close(r)
-        if pid is not None:  # every frame is read, or the caller stopped early
-            import signal
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-
-
 def _cmd_reproduce(cli: CliConfig) -> int:
     """run the built-in scenario suite into a directory"""
     config = resolve_scenario(cli)  # only the parameters and h matter here
@@ -596,9 +504,8 @@ def _cmd_reproduce(cli: CliConfig) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     summary = ["label," + ",".join(_METRIC_KEYS)]
     paths = [out_dir / f"{config.label}.csv" for config in scenarios]
-    # on Linux a child marches the next scenario while this process writes the last
-    forked = hasattr(os, "fork") and sys.platform.startswith("linux")
-    results = (_forked_results if forked else _run_sharing_prefixes)(scenarios)
+    # where a second process pays, a child marches the next scenario while this one writes
+    results = (_forked_results if _second_process() else _run_sharing_prefixes)(scenarios)
     # each shared prefix is rendered once: later files copy its lines
     with contextlib.closing(results):
         for path, (result, copied) in zip(paths, results):

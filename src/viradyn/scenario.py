@@ -11,6 +11,11 @@ end-of-treatment value.
 
 from __future__ import annotations
 
+import contextlib
+import os
+import struct
+import sys
+import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
@@ -264,13 +269,18 @@ def _allocated(mesh: MeshSpec, make):
 
 def run_matrix(base: ScenarioConfig,
                efficacy_levels: list[tuple[float, float]]) -> list[ScenarioResult]:
-    """One run per (u1, u2) level, windows kept, efficacies replaced."""
+    """One run per (u1, u2) level, windows kept, efficacies replaced.  Where a second
+    process pays, a forked child marches the second half of the levels."""
     if not efficacy_levels:
         raise ValueError("need at least one efficacy level")
-    return [result for result, _ in _run_sharing_prefixes([
-        replace(base, schedule=base.schedule.with_efficacies(u1, u2),
-                label=f"{base.label or 'matrix'}[{i}:u1={u1:g},u2={u2:g}]")
-        for i, (u1, u2) in enumerate(efficacy_levels)])]
+    configs = [replace(base, schedule=base.schedule.with_efficacies(u1, u2),
+                       label=f"{base.label or 'matrix'}[{i}:u1={u1:g},u2={u2:g}]")
+               for i, (u1, u2) in enumerate(efficacy_levels)]
+    half = (len(configs) + 1) // 2
+    forked = (_second_process()
+              and sum(c.mesh.n_steps for c in configs[half:]) >= _FORK_MIN_STEPS)
+    return [result for result, _ in
+            (_forked_results(configs, half) if forked else _run_sharing_prefixes(configs))]
 
 
 def _shared_times(configs: list[ScenarioConfig]) -> dict[tuple[float, float], np.ndarray]:
@@ -285,15 +295,16 @@ def _shared_times(configs: list[ScenarioConfig]) -> dict[tuple[float, float], np
     return shared
 
 
-def _run_sharing_prefixes(configs: list[ScenarioConfig]
-                          ) -> Iterator[tuple[ScenarioResult, tuple[int, int] | None]]:
-    """``run(config)`` for each config in turn, with the ``(index, steps)`` of the
+def _march(configs: list[ScenarioConfig], shared_times: dict | None = None
+           ) -> Iterator[tuple[Trajectory, tuple[int, int] | None]]:
+    """The trajectory of each config in turn, with the ``(index, steps)`` of the
     earlier config it copied rows 0..steps from, or None.  Configs with equal
     params, mesh start, step and initial bits (-0.0 prints apart from 0.0) agree
     row for row until their rate runs differ: each copies the longest such prefix
     of an earlier config, held only until its last copier runs, and marches the rest.
-    Each trajectory's times are a prefix view of its array in :func:`_shared_times`."""
-    shared_times = _shared_times(configs)
+    Each trajectory's times are a prefix view of its array in ``shared_times``,
+    by default :func:`_shared_times` of ``configs``."""
+    shared_times = shared_times or _shared_times(configs)
     runs = [_rate_runs(c) for c in configs]
     groups = [(c.params, c.mesh.a, c.mesh.h, c.initial.as_array().tobytes()) for c in configs]
     sources = []  # (steps shared, index of the config they are copied from)
@@ -315,8 +326,128 @@ def _run_sharing_prefixes(configs: list[ScenarioConfig]
             del kept[j]
         if i in last_use:
             kept[i] = trajectory.states
+        yield trajectory, (j, shared) if shared else None
+
+
+def _run_sharing_prefixes(configs: list[ScenarioConfig], shared_times: dict | None = None
+                          ) -> Iterator[tuple[ScenarioResult, tuple[int, int] | None]]:
+    """``run(config)`` for each config in turn, with what :func:`_march` copied."""
+    for config, (trajectory, copied) in zip(configs, _march(configs, shared_times)):
         yield (ScenarioResult(config, trajectory, compute_metrics(trajectory, config.schedule)),
-               (j, shared) if shared else None)
+               copied)
+
+
+def _second_process() -> bool:
+    """Whether a forked child can march beside this process: on Linux, with ``os.fork``
+    and two CPUs or more.  On one CPU the two take turns, and the fork only adds cost."""
+    return (sys.platform.startswith("linux") and hasattr(os, "fork")
+            and len(os.sched_getaffinity(0)) >= 2)
+
+
+# Below this many mesh steps in the child's half, run_matrix marches in one process.
+# Fork and reap alone take 1.4 ms, and copy-on-write faults in both processes add
+# more.  Minimum times on a 2-core box, one process against forked: 7.2 against 9.8 ms
+# at 2 x 4,000 steps, 12.1-13.1 against 11.7-13.5 ms at 14 x 1,000 (about even), and
+# 17.3 against 13.9 ms at 2 x 8,000.
+_FORK_MIN_STEPS = 8_000
+
+# a frame from the march's child: the (source, steps) its trajectory copied, or
+# (-1, 0), and then its rows; or (-2, size), and then a pickled exception
+_FRAME = struct.Struct("qq")
+
+
+def _read_into(fd: int, buffer) -> None:
+    """Fill ``buffer`` from the pipe ``fd``; EOFError when the pipe ends first."""
+    view = memoryview(buffer).cast("B")
+    while view:
+        n = os.readv(fd, [view])
+        if not n:
+            raise EOFError
+        view = view[n:]
+
+
+def _received(fd: int, config: ScenarioConfig, shared_times: dict):
+    """The next ``(result, copied)`` of the march's pipe ``fd``, or the exception it carries."""
+    header = bytearray(_FRAME.size)
+    _read_into(fd, header)
+    source, size = _FRAME.unpack(header)
+    if source == -2:
+        payload = bytearray(size)
+        _read_into(fd, payload)
+        import pickle
+        raise pickle.loads(payload)
+    mesh = config.mesh
+    states = _allocated(mesh, lambda: np.empty((mesh.n_steps + 1, 3)))
+    _read_into(fd, states)
+    trajectory = Trajectory(shared_times[mesh.a, mesh.h][:mesh.n_steps + 1], states)
+    return (ScenarioResult(config, trajectory, compute_metrics(trajectory, config.schedule)),
+            None if source < 0 else (source, size))
+
+
+def _forked_results(configs: list[ScenarioConfig], half: int = 0
+                    ) -> Iterator[tuple[ScenarioResult, tuple[int, int] | None]]:
+    """``_run_sharing_prefixes(configs)``, with ``configs[half:]`` marched in a forked
+    child while this process marches ``configs[:half]`` and uses each result.  The
+    child sends each trajectory's rows through a pipe, or the exception it raised,
+    which is raised here in its turn; metrics are computed here.  With a ``half``,
+    an error in the child's configs is raised before any of their results.  An error
+    here, or closing the generator, stops and reaps the child."""
+    import fcntl
+    shared_times = _shared_times(configs)  # a mesh too long to hold fails before the fork
+    r, w = os.pipe()
+    try:
+        with contextlib.suppress(OSError):  # a larger pipe lets the march run further ahead
+            fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, 1 << 20)  # Linux's limit for a user
+        # The child calls no BLAS routine (src/ has no numpy.linalg), so the OpenBLAS
+        # worker thread that Python 3.12+ warns about at a fork holds no lock it needs.
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "This process", DeprecationWarning)
+            pid = os.fork()
+    except BaseException:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:  # the child never returns into the caller and writes nothing to fds 1 and 2
+        status = 1
+        try:
+            os.close(r)
+            with open(w, "wb") as pipe:
+                marched = _march(configs[half:])
+                try:
+                    # while the parent marches a half of its own, the child marches all of
+                    # its configs before it writes: one that streamed would block on the
+                    # full pipe until the parent came to read, and the halves would take turns
+                    for trajectory, copied in (list(marched) if half else marched):
+                        pipe.write(_FRAME.pack(*(copied or (-1, 0))))
+                        pipe.write(trajectory.states.data)
+                        pipe.flush()
+                except Exception as err:
+                    import pickle
+                    payload = pickle.dumps(err)
+                    pipe.write(_FRAME.pack(-2, len(payload)) + payload)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(w)
+    try:
+        if half:  # else this process marches nothing
+            yield from _run_sharing_prefixes(configs[:half], shared_times)
+        for config in configs[half:]:
+            result, copied = _received(r, config, shared_times)
+            yield result, copied and (half + copied[0], copied[1])
+    except EOFError:
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        pid = None
+        raise ChildProcessError(
+            f"the march ended before scenario {config.label!r}: its process "
+            + (f"was killed by signal {-code}" if code < 0 else f"exited with code {code}")
+        ) from None
+    finally:
+        os.close(r)
+        if pid is not None:  # every frame is read, or this process stopped early
+            import signal
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 @dataclass(frozen=True)

@@ -22,10 +22,10 @@ from viradyn import (
     ModelParams,
     ScenarioConfig,
 )
-from viradyn import cli
+from viradyn import scenario
 from viradyn.cli import main
 from viradyn.errors import IntegrationBlowupError, NonFiniteStateError, NumericalError
-from viradyn.scenario import _run_sharing_prefixes
+from viradyn.scenario import _march, _run_sharing_prefixes
 
 from test_kernel import assert_one_read_only_times_array_per_start_and_step
 
@@ -70,7 +70,7 @@ def drain(results):
 
 def test_forked_march_streams_the_in_process_results_then_the_same_error():
     configs = [CLEAN, SHARER, BLOWUP]
-    forked, forked_err = drain(cli._forked_results(configs))
+    forked, forked_err = drain(scenario._forked_results(configs))
     alone, alone_err = drain(_run_sharing_prefixes(configs))
     assert_no_child_left()
     assert [copied for _, copied in forked] == [copied for _, copied in alone] == [None, (0, 200)]
@@ -86,7 +86,7 @@ def test_forked_march_streams_the_in_process_results_then_the_same_error():
 
 
 def test_closing_the_forked_march_early_stops_and_reaps_the_child():
-    results = cli._forked_results([CLEAN, SHARER, BLOWUP])
+    results = scenario._forked_results([CLEAN, SHARER, BLOWUP])
     next(results)
     results.close()
     assert_no_child_left()
@@ -159,12 +159,12 @@ def test_a_child_that_dies_without_an_error_frame_gives_a_labelled_error(
     test_pid = os.getpid()
 
     def first_then_die(configs):
-        results = _run_sharing_prefixes(configs)
+        results = _march(configs)
         yield next(results)
         assert os.getpid() != test_pid, "the march ran in the test's own process"
         end()
 
-    monkeypatch.setattr(cli, "_run_sharing_prefixes", first_then_die)  # the child inherits it
+    monkeypatch.setattr(scenario, "_march", first_then_die)  # the child inherits it
     assert main(["reproduce", f"--out={tmp_path / 'r'}"]) == 2
     assert capsys.readouterr().err == (f"error: the march ended before scenario "
                                        f"'basic-T0-800': its process {how}\n")
