@@ -25,6 +25,7 @@ from .errors import (
     ConditioningError,
     DefectiveMatrixError,
     IntegrationBlowupError,
+    NegativePopulationError,
     NonFiniteStateError,
     NumericalError,
 )
@@ -70,7 +71,7 @@ __all__ = [
     "compute_metrics", "run", "run_matrix", "compare_linearization",
     "reference_scenarios", "SUPPRESSION_THRESHOLD", "DEFAULT_INITIAL",
     "SURVEY_INITIALS", "TWO_CONTROL_DOSAGES", "COMBINED_DOSAGES",
-    "NumericalError", "NonFiniteStateError", "IntegrationBlowupError",
+    "NumericalError", "NonFiniteStateError", "IntegrationBlowupError", "NegativePopulationError",
     "DefectiveMatrixError", "ConditioningError",
     "__version__",
 ]

@@ -33,9 +33,7 @@ from .scenario import (
     DEFAULT_INITIAL,
     ScenarioConfig,
     ScenarioResult,
-    _forked_results,
-    _run_sharing_prefixes,
-    _second_process,
+    _results,
     compare_linearization,
     infected_equilibrium,
     reference_scenarios,
@@ -504,10 +502,9 @@ def _cmd_reproduce(cli: CliConfig) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     summary = ["label," + ",".join(_METRIC_KEYS)]
     paths = [out_dir / f"{config.label}.csv" for config in scenarios]
-    # where a second process pays, a child marches the next scenario while this one writes
-    results = (_forked_results if _second_process() else _run_sharing_prefixes)(scenarios)
-    # each shared prefix is rendered once: later files copy its lines
-    with contextlib.closing(results):
+    # where a second process pays, a child marches the next scenario while this one
+    # writes; each shared prefix is rendered once: later files copy its lines
+    with contextlib.closing(_results(scenarios)) as results:
         for path, (result, copied) in zip(paths, results):
             emit_trajectory(result, path,
                             prefix=None if copied is None else (paths[copied[0]], copied[1]))

@@ -44,6 +44,28 @@ class IntegrationBlowupError(NumericalError):
         return type(self), (self.t, self.stage, self.step, self.label)
 
 
+class NegativePopulationError(NumericalError):
+    """A trajectory entry fell below the population floor: the step is too coarse.
+
+    ``step`` is the row of the entry, the state after that many steps."""
+
+    def __init__(self, component: str, t: float, value: float, step: int,
+                 label: str | None = None):
+        self.component = component
+        self.t = t
+        self.value = value
+        self.step = step
+        self.label = label
+        where = f"t={t:g}, step {step}"
+        if label:
+            where += f", scenario {label!r}"
+        super().__init__(f"population {component} fell to {value:g} ({where}): "
+                         "the step is too coarse for the rates")
+
+    def __reduce__(self):
+        return type(self), (self.component, self.t, self.value, self.step, self.label)
+
+
 class DefectiveMatrixError(NumericalError):
     """Repeated eigenvalue whose eigenspace is smaller than its multiplicity."""
 

@@ -15,9 +15,10 @@ import contextlib
 import os
 import struct
 import sys
+import threading
 import warnings
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -29,8 +30,16 @@ from .analysis import (
     fit_linearized,
     jacobian,
 )
-from .errors import IntegrationBlowupError
-from .integrator import DEFAULT_STEP, MeshSpec, Trajectory, mesh_index, rk4_step
+from .errors import IntegrationBlowupError, NegativePopulationError
+from .integrator import (
+    DEFAULT_STEP,
+    NEGATIVE_FLOOR,
+    MeshSpec,
+    Trajectory,
+    mesh_index,
+    negative_components,
+    rk4_step,
+)
 from .model import (
     EfficacySchedule,
     ModelKind,
@@ -206,7 +215,8 @@ def _integrate(config: ScenarioConfig, runs: list, times: np.ndarray,
     stays fourth order.  The step arithmetic is that of :func:`rk4_step`
     on :func:`rhs_at_rates`, written out on floats.  Rows are checked for
     finiteness once at the end; the first bad step is then replayed
-    through :func:`rk4_step`, which raises the labelled blowup error.
+    through :func:`rk4_step`, which raises the labelled blowup error.  An
+    entry below ``NEGATIVE_FLOOR`` raises :class:`NegativePopulationError`.
     Given ``prefix``, its rows are copied and the march resumes from its last.
     """
     params, mesh = config.params, config.mesh
@@ -254,7 +264,12 @@ def _integrate(config: ScenarioConfig, runs: list, times: np.ndarray,
             raise IntegrationBlowupError(err.t, err.stage, step=j,
                                          label=config.label or None) from None
         raise RuntimeError(f"step {j} is finite in rk4_step but not in the kernel")
-    return Trajectory(times=times, states=states)
+    trajectory = Trajectory(times=times, states=states)
+    if states.min() < NEGATIVE_FLOOR:  # the exact flow keeps every population >= 0
+        i, c = negative_components(trajectory)[0]
+        raise NegativePopulationError(fields(SystemState)[c].name, float(times[i]),
+                                      float(states[i, c]), i, label=config.label or None)
+    return trajectory
 
 
 def _allocated(mesh: MeshSpec, make):
@@ -276,11 +291,7 @@ def run_matrix(base: ScenarioConfig,
     configs = [replace(base, schedule=base.schedule.with_efficacies(u1, u2),
                        label=f"{base.label or 'matrix'}[{i}:u1={u1:g},u2={u2:g}]")
                for i, (u1, u2) in enumerate(efficacy_levels)]
-    half = (len(configs) + 1) // 2
-    forked = (_second_process()
-              and sum(c.mesh.n_steps for c in configs[half:]) >= _FORK_MIN_STEPS)
-    return [result for result, _ in
-            (_forked_results(configs, half) if forked else _run_sharing_prefixes(configs))]
+    return [result for result, _ in _results(configs, (len(configs) + 1) // 2)]
 
 
 def _shared_times(configs: list[ScenarioConfig]) -> dict[tuple[float, float], np.ndarray]:
@@ -351,6 +362,10 @@ def _second_process() -> bool:
 # 17.3 against 13.9 ms at 2 x 8,000.
 _FORK_MIN_STEPS = 8_000
 
+# catch_warnings saves and restores the process-wide filters: two threads forking at once
+# would restore them out of order and leave the fork's filter behind
+_FORK_LOCK = threading.Lock()
+
 # a frame from the march's child: the (source, steps) its trajectory copied, or
 # (-1, 0), and then its rows; or (-2, size), and then a pickled exception
 _FRAME = struct.Struct("qq")
@@ -384,29 +399,36 @@ def _received(fd: int, config: ScenarioConfig, shared_times: dict):
             None if source < 0 else (source, size))
 
 
-def _forked_results(configs: list[ScenarioConfig], half: int = 0
-                    ) -> Iterator[tuple[ScenarioResult, tuple[int, int] | None]]:
-    """``_run_sharing_prefixes(configs)``, with ``configs[half:]`` marched in a forked
-    child while this process marches ``configs[:half]`` and uses each result.  The
-    child sends each trajectory's rows through a pipe, or the exception it raised,
-    which is raised here in its turn; metrics are computed here.  With a ``half``,
-    an error in the child's configs is raised before any of their results.  An error
-    here, or closing the generator, stops and reaps the child."""
+def _results(configs: list[ScenarioConfig], half: int = 0
+             ) -> Iterator[tuple[ScenarioResult, tuple[int, int] | None]]:
+    """``_run_sharing_prefixes(configs)``, with ``configs[half:]`` marched in a forked child
+    where a second process pays (with a ``half``, from ``_FORK_MIN_STEPS`` steps in them) and
+    the pipe and fork are granted, while this process marches ``configs[:half]``.  The child
+    sends each trajectory's rows, or the exception it raised, through a pipe; it is raised
+    here in its turn, before any result of the child's configs with a ``half``.  Metrics are
+    computed here.  An error here, or closing the generator, stops and reaps the child."""
     import fcntl
     shared_times = _shared_times(configs)  # a mesh too long to hold fails before the fork
-    r, w = os.pipe()
+    fds, pid = (), None
     try:
-        with contextlib.suppress(OSError):  # a larger pipe lets the march run further ahead
-            fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, 1 << 20)  # Linux's limit for a user
-        # The child calls no BLAS routine (src/ has no numpy.linalg), so the OpenBLAS
-        # worker thread that Python 3.12+ warns about at a fork holds no lock it needs.
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "This process", DeprecationWarning)
-            pid = os.fork()
-    except BaseException:
-        os.close(r)
-        os.close(w)
-        raise
+        with contextlib.suppress(OSError):  # no descriptor, process or memory to spare
+            if _second_process() and (not half or sum(
+                    c.mesh.n_steps for c in configs[half:]) >= _FORK_MIN_STEPS):
+                fds = r, w = os.pipe()
+                with contextlib.suppress(OSError):  # a larger pipe lets the march run ahead
+                    fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, 1 << 20)  # Linux's limit for a user
+                # The child calls no BLAS routine (src/ has no numpy.linalg), so the OpenBLAS
+                # worker thread that Python 3.12+ warns about at a fork holds no lock it needs.
+                with _FORK_LOCK, warnings.catch_warnings():
+                    warnings.filterwarnings("ignore", "This process", DeprecationWarning)
+                    pid = os.fork()
+    finally:
+        if pid is None:  # no child: this process marches every config
+            for fd in fds:
+                os.close(fd)
+    if pid is None:
+        yield from _run_sharing_prefixes(configs, shared_times)
+        return
     if pid == 0:  # the child never returns into the caller and writes nothing to fds 1 and 2
         status = 1
         try:
@@ -495,7 +517,7 @@ def compare_linearization(config: ScenarioConfig, perturbation) -> Linearization
 
     nonlinear_cfg = replace(config, initial=SystemState.from_array(eq + perturbation),
                             label=config.label or "linearization-check")
-    trajectory = run(nonlinear_cfg).trajectory
+    trajectory, _ = next(_march([nonlinear_cfg]))  # no metrics: none is read
 
     sol = fit_linearized(eigen3(jacobian(config.params, 0.0, 0.0, config.kind, eq_point)),
                          perturbation)

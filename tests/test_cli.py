@@ -438,6 +438,23 @@ def test_overflowing_stage_input_names_the_step_stage_and_scenario(tmp_path, cap
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv, component, t, value", [
+    (["--h=1"], "T_star", 1, "-0.112585"),
+    (["--h=400"], "T_star", 400, "-3.68308e+18"),
+    (["--h=400", "--param=s=0.1"], "T", 400, "-1.9806e+18"),
+], ids=["h1", "h400", "h400-s0.1"])
+def test_a_step_that_takes_a_population_below_the_floor_exits_three(
+        tmp_path, capsys, argv, component, t, value):
+    out = tmp_path / "t.csv"
+    assert main(["simulate", *argv, f"--out={out}"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"numerical failure: population {component} fell to {value} "
+                            f"(t={t}, step 1, scenario 'cli'): the step is too coarse "
+                            "for the rates\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", ["simulate", "analyze"])
 @pytest.mark.parametrize("t0, t1", [("1e6", "1000400"), ("-1e6", "-999600")])
 def test_mesh_whose_float_times_are_not_uniform_exits_two(tmp_path, capsys, command, t0, t1):
@@ -576,7 +593,10 @@ def test_config_value_of_the_wrong_json_type_exits_two(tmp_path, capsys, doc, wh
 
 
 def test_config_integers_are_numbers_unless_too_large_for_a_float(tmp_path, capsys):
-    assert _run_config(tmp_path, {"mesh": {"a": 0, "b": 20, "h": 1}, "label": "ints"}) == 0
+    # near equilibrium, h = 1 keeps every population above 21; from DEFAULT_INITIAL it is
+    # too coarse for the rates, and T* falls below the population floor at t = 1
+    assert _run_config(tmp_path, {"mesh": {"a": 0, "b": 20, "h": 1}, "label": "ints",
+                                  "initial": {"T": 240, "T_star": 22, "V": 903}}) == 0
     assert _run_config(tmp_path, {"params": {"s": 10 ** 400}}) == 2
     assert "error: --config: malformed value" in capsys.readouterr().err
 

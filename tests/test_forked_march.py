@@ -24,7 +24,12 @@ from viradyn import (
 )
 from viradyn import scenario
 from viradyn.cli import main
-from viradyn.errors import IntegrationBlowupError, NonFiniteStateError, NumericalError
+from viradyn.errors import (
+    IntegrationBlowupError,
+    NegativePopulationError,
+    NonFiniteStateError,
+    NumericalError,
+)
 from viradyn.scenario import _march, _run_sharing_prefixes
 
 from test_kernel import assert_one_read_only_times_array_per_start_and_step
@@ -51,7 +56,8 @@ def assert_no_child_left():
     NonFiniteStateError("V", math.inf),
     IntegrationBlowupError(7.0, 1, step=7, label="basic-T0-1200"),
     IntegrationBlowupError(0.5, 4),
-], ids=["non-finite-state", "blowup-labelled", "blowup-bare"])
+    NegativePopulationError("V", 1.0, -44.6861, 1, label="basic-T0-1000"),
+], ids=["non-finite-state", "blowup-labelled", "blowup-bare", "below-the-floor"])
 def test_numerical_errors_round_trip_through_pickle(err):
     again = pickle.loads(pickle.dumps(err))
     assert type(again) is type(err)
@@ -68,9 +74,10 @@ def drain(results):
     return items, raised.value
 
 
-def test_forked_march_streams_the_in_process_results_then_the_same_error():
+def test_forked_march_streams_the_in_process_results_then_the_same_error(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})  # a fork pays
     configs = [CLEAN, SHARER, BLOWUP]
-    forked, forked_err = drain(scenario._forked_results(configs))
+    forked, forked_err = drain(scenario._results(configs))
     alone, alone_err = drain(_run_sharing_prefixes(configs))
     assert_no_child_left()
     assert [copied for _, copied in forked] == [copied for _, copied in alone] == [None, (0, 200)]
@@ -85,8 +92,9 @@ def test_forked_march_streams_the_in_process_results_then_the_same_error():
                                                    "label": "blowup"}
 
 
-def test_closing_the_forked_march_early_stops_and_reaps_the_child():
-    results = scenario._forked_results([CLEAN, SHARER, BLOWUP])
+def test_closing_the_forked_march_early_stops_and_reaps_the_child(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})  # a fork pays
+    results = scenario._results([CLEAN, SHARER, BLOWUP])
     next(results)
     results.close()
     assert_no_child_left()
@@ -98,7 +106,7 @@ def block_the_fifth_csv(out: Path) -> None:
 
 @pytest.mark.parametrize("argv, prepare, rc, files", [
     ([], None, 0, 29),
-    (["--h=1", "--param=k=300"], None, 3, 6),  # basic-T0-1200 blows up
+    (["--h=0.5", "--param=k=1000"], None, 3, 4),  # basic-T0-1000 blows up
     ([], block_the_fifth_csv, 2, 9),  # 4 CSVs, their metrics files and the directory
 ], ids=["success", "child-error", "parent-error"])
 def test_no_child_is_left_after_reproduce(tmp_path, argv, prepare, rc, files):
@@ -112,11 +120,11 @@ def test_no_child_is_left_after_reproduce(tmp_path, argv, prepare, rc, files):
 
 def test_a_blowup_in_the_child_is_reported_as_in_process(tmp_path, capsys):
     out = tmp_path / "r"
-    assert main(["reproduce", "--h=1", "--param=k=300", f"--out={out}"]) == 3
+    assert main(["reproduce", "--h=0.5", "--param=k=1000", f"--out={out}"]) == 3
     captured = capsys.readouterr()
     assert captured.err == ("numerical failure: integration blew up "
-                            "(t=7, stage k1, step 7, scenario 'basic-T0-1200')\n")
-    assert captured.out == "ran basic-T0-500\nran basic-T0-800\nran basic-T0-1000\n"
+                            "(t=4, stage k2, step 8, scenario 'basic-T0-1000')\n")
+    assert captured.out == "ran basic-T0-500\nran basic-T0-800\n"
 
 
 def run_cli(*args, timeout):

@@ -1,9 +1,13 @@
 """`run_matrix` marches the second half of its levels in a forked child where a
 second process pays: the results and errors equal those of the in-process march,
-the child computes no metrics, and no child outlives a call."""
+the child computes no metrics, and no child outlives a call.  Where the system
+refuses the pipe or the fork, `run_matrix` and `reproduce` march in-process."""
 
+import errno
 import os
 import sys
+import threading
+import warnings
 from dataclasses import replace
 
 import pytest
@@ -91,9 +95,10 @@ def test_forked_run_matrix_equals_the_in_process_one(monkeypatch):
     assert len(assert_one_read_only_times_array_per_start_and_step(forked)) == 1
 
 
-def test_a_forked_half_reports_what_it_copied_by_index_in_all_configs():
+def test_a_forked_half_reports_what_it_copied_by_index_in_all_configs(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})  # a fork pays
     configs = [replace(BASE, schedule=BASE.schedule.with_efficacies(*u)) for u in LEVELS[:4]]
-    forked = list(scenario._forked_results(configs, 2))
+    forked = list(scenario._results(configs, 2))
     alone = list(scenario._run_sharing_prefixes(configs))
     assert_no_child_left()
     assert_same_results([r for r, _ in forked], [r for r, _ in alone])
@@ -155,3 +160,70 @@ def test_one_cpu_marches_in_process_with_the_same_outputs(tmp_path, monkeypatch)
     assert one == {p.name: p.read_bytes() for p in (tmp_path / "usual").iterdir()}
     assert_same_results(run_matrix(BASE, LEVELS), usual)
     assert_no_child_left()
+
+
+def open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.parametrize("call, err", [
+    ("fork", BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))),  # a full pids cgroup
+    ("fork", OSError(errno.ENOMEM, os.strerror(errno.ENOMEM))),  # strict overcommit
+    ("pipe", OSError(errno.EMFILE, os.strerror(errno.EMFILE))),  # no descriptor left
+], ids=["fork-EAGAIN", "fork-ENOMEM", "pipe-EMFILE"])
+def test_a_refused_pipe_or_fork_marches_in_process_with_the_same_outputs(
+        tmp_path, monkeypatch, call, err):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})  # a fork pays
+    assert main(["reproduce", f"--out={tmp_path / 'forked'}"]) == 0
+    forked = run_matrix(BASE, LEVELS)
+    fds, refusals = open_fds(), []
+
+    def refused():
+        refusals.append(call)
+        raise err
+
+    monkeypatch.setattr(os, call, refused)  # no process, descriptor or memory is used up
+    assert main(["reproduce", f"--out={tmp_path / 'refused'}"]) == 0
+    assert_same_results(run_matrix(BASE, LEVELS), forked)
+    assert refusals == [call, call]
+    assert_no_child_left()
+    assert open_fds() == fds
+    alone = {p.name: p.read_bytes() for p in (tmp_path / "refused").iterdir()}
+    assert len(alone) == 29
+    assert alone == {p.name: p.read_bytes() for p in (tmp_path / "forked").iterdir()}
+
+
+def test_concurrent_forked_calls_equal_a_serial_one(monkeypatch):
+    # four threads on two cores, each forking: the README says concurrent use needs no
+    # synchronization
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})  # a fork pays
+    levels = [(u, u) for u in (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)]
+    serial = run_matrix(BASE, levels)
+    calls = counted_forks(monkeypatch)
+    results, errors, filters = [], [], list(warnings.filters)
+
+    def three_calls():
+        try:
+            for _ in range(3):
+                results.append(run_matrix(BASE, levels))
+        except BaseException as exc:
+            errors.append(exc)
+            raise
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=three_calls) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(results) == len(calls) == 12
+    for these in results:
+        assert_same_results(these, serial)
+    assert_no_child_left()
+    assert warnings.filters == filters  # the fork's own filter is not left behind

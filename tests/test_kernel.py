@@ -359,8 +359,9 @@ def test_run_matrix_trajectories_share_one_read_only_times_array():
 
 
 def test_trajectories_on_a_mesh_of_ints_view_the_shared_times():
-    base = ScenarioConfig(ModelKind.TWO_CONTROL, PARAMS, MeshSpec(0, 60, 1), DEFAULT_INITIAL,
-                          EfficacySchedule.window(20, 40, 0.0, 0.0))
+    # near equilibrium, as h = 1 is too coarse for the rates from DEFAULT_INITIAL
+    base = ScenarioConfig(ModelKind.TWO_CONTROL, PARAMS, MeshSpec(0, 60, 1),
+                          SystemState(240, 22, 903), EfficacySchedule.window(20, 40, 0.0, 0.0))
     assert run(base).trajectory.times.base is not None  # a view, not a float copy
     results = run_matrix(base, [(0.0, 0.0), (0.2, 0.2)])
     assert len(assert_one_read_only_times_array_per_start_and_step(results)) == 1
