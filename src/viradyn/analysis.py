@@ -122,9 +122,10 @@ def equilibria(params: ModelParams, u1: float, u2: float,
     beta_eff, k_eff = effective_rates(kind, params, u1, u2)
     out = [_equilibrium(EquilibriumKind.UNINFECTED, params.s / params.d, 0.0, 0.0)]
     if beta_eff * k_eff > 0.0:
-        t_eq = params.m1 * params.m2 / (k_eff * beta_eff)
+        m1m2 = params.m1 * params.m2  # zero where it underflows: V is then infinite
+        t_eq = m1m2 / (k_eff * beta_eff)
         tstar_eq = params.s / params.m2 - params.d * params.m1 / (beta_eff * k_eff)
-        v_eq = k_eff * params.s / (params.m1 * params.m2) - params.d / beta_eff
+        v_eq = (k_eff * params.s / m1m2 if m1m2 else math.inf) - params.d / beta_eff
         if tstar_eq > 0.0 and v_eq > 0.0:
             out.append(_equilibrium(EquilibriumKind.INFECTED, t_eq, tstar_eq, v_eq))
     return out

@@ -31,6 +31,7 @@ from .model import (
 )
 from .scenario import (
     DEFAULT_INITIAL,
+    MetricSet,
     ScenarioConfig,
     ScenarioResult,
     _results,
@@ -58,13 +59,8 @@ _CONFIG_SECTIONS = {"params": _PARAM_NAMES, "mesh": _field_names(MeshSpec),
 _WINDOW_KEYS = _field_names(TreatmentWindow)
 _CONFIG_KEYS = ("kind", *_CONFIG_SECTIONS, "schedule", "label")
 _JSON_TYPES = {"object": dict, "list": list, "number": (int, float), "string": str}
-# the metric columns: the final state's three components, then MetricSet fields by name
-_METRIC_KEYS = (
-    "final_T", "final_Tstar", "final_V",
-    "peak_viral_load", "peak_viral_load_day",
-    "min_viral_load_during_treatment", "min_viral_load_during_treatment_day",
-    "suppression_days", "rebound_day",
-)
+# the metric columns: the final state's three components, then MetricSet's other fields
+_METRIC_KEYS = ("final_T", "final_Tstar", "final_V", *_field_names(MetricSet)[1:])
 
 
 class UsageError(ValueError):

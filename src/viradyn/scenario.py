@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import contextlib
 import os
-import struct
 import sys
 import threading
 import warnings
@@ -185,7 +184,8 @@ def compute_metrics(trajectory: Trajectory, schedule: EfficacySchedule) -> Metri
 
 def run(config: ScenarioConfig) -> ScenarioResult:
     """Integrate the configured model and attach metrics."""
-    return next(_run_sharing_prefixes([config]))[0]
+    trajectory, _ = next(_march([config]))
+    return ScenarioResult(config, trajectory, compute_metrics(trajectory, config.schedule))
 
 
 def _rate_runs(config: ScenarioConfig) -> list[tuple[int, int, tuple[float, float]]]:
@@ -306,19 +306,14 @@ def _shared_times(configs: list[ScenarioConfig]) -> dict[tuple[float, float], np
     return shared
 
 
-def _march(configs: list[ScenarioConfig], shared_times: dict | None = None
-           ) -> Iterator[tuple[Trajectory, tuple[int, int] | None]]:
-    """The trajectory of each config in turn, with the ``(index, steps)`` of the
-    earlier config it copied rows 0..steps from, or None.  Configs with equal
-    params, mesh start, step and initial bits (-0.0 prints apart from 0.0) agree
-    row for row until their rate runs differ: each copies the longest such prefix
-    of an earlier config, held only until its last copier runs, and marches the rest.
-    Each trajectory's times are a prefix view of its array in ``shared_times``,
-    by default :func:`_shared_times` of ``configs``."""
-    shared_times = shared_times or _shared_times(configs)
+def _sources(configs: list[ScenarioConfig]) -> tuple[list[list], list[tuple[int, int]]]:
+    """The rate runs of each config, and the ``(steps, index)`` of the earlier config it
+    can copy rows 0..steps from, or ``(0, -1)``.  Configs with equal params, mesh start,
+    step and initial bits (-0.0 prints apart from 0.0) agree row for row until their rate
+    runs differ: each copies the longest such prefix."""
     runs = [_rate_runs(c) for c in configs]
     groups = [(c.params, c.mesh.a, c.mesh.h, c.initial.as_array().tobytes()) for c in configs]
-    sources = []  # (steps shared, index of the config they are copied from)
+    sources = []
     for i, mine in enumerate(runs):
         best = (0, -1)
         for j in (j for j in range(i) if groups[j] == groups[i]):
@@ -328,6 +323,18 @@ def _march(configs: list[ScenarioConfig], shared_times: dict | None = None
                     break
             best = max(best, (shared, j))
         sources.append(best)
+    return runs, sources
+
+
+def _march(configs: list[ScenarioConfig], shared_times: dict | None = None
+           ) -> Iterator[tuple[Trajectory, tuple[int, int] | None]]:
+    """The trajectory of each config in turn, with the ``(index, steps)`` of the
+    earlier config it copied rows 0..steps from (see :func:`_sources`), or None.
+    Each copied prefix is held only until its last copier runs.  Each trajectory's
+    times are a prefix view of its array in ``shared_times``, by default
+    :func:`_shared_times` of ``configs``."""
+    shared_times = shared_times or _shared_times(configs)
+    runs, sources = _sources(configs)
     last_use = {j: i for i, (shared, j) in enumerate(sources) if shared}
     kept = {}
     for i, (config, (shared, j)) in enumerate(zip(configs, sources)):
@@ -338,14 +345,6 @@ def _march(configs: list[ScenarioConfig], shared_times: dict | None = None
         if i in last_use:
             kept[i] = trajectory.states
         yield trajectory, (j, shared) if shared else None
-
-
-def _run_sharing_prefixes(configs: list[ScenarioConfig], shared_times: dict | None = None
-                          ) -> Iterator[tuple[ScenarioResult, tuple[int, int] | None]]:
-    """``run(config)`` for each config in turn, with what :func:`_march` copied."""
-    for config, (trajectory, copied) in zip(configs, _march(configs, shared_times)):
-        yield (ScenarioResult(config, trajectory, compute_metrics(trajectory, config.schedule)),
-               copied)
 
 
 def _second_process() -> bool:
@@ -366,10 +365,6 @@ _FORK_MIN_STEPS = 8_000
 # would restore them out of order and leave the fork's filter behind
 _FORK_LOCK = threading.Lock()
 
-# a frame from the march's child: the (source, steps) its trajectory copied, or
-# (-1, 0), and then its rows; or (-2, size), and then a pickled exception
-_FRAME = struct.Struct("qq")
-
 
 def _read_into(fd: int, buffer) -> None:
     """Fill ``buffer`` from the pipe ``fd``; EOFError when the pipe ends first."""
@@ -381,32 +376,15 @@ def _read_into(fd: int, buffer) -> None:
         view = view[n:]
 
 
-def _received(fd: int, config: ScenarioConfig, shared_times: dict):
-    """The next ``(result, copied)`` of the march's pipe ``fd``, or the exception it carries."""
-    header = bytearray(_FRAME.size)
-    _read_into(fd, header)
-    source, size = _FRAME.unpack(header)
-    if source == -2:
-        payload = bytearray(size)
-        _read_into(fd, payload)
-        import pickle
-        raise pickle.loads(payload)
-    mesh = config.mesh
-    states = _allocated(mesh, lambda: np.empty((mesh.n_steps + 1, 3)))
-    _read_into(fd, states)
-    trajectory = Trajectory(shared_times[mesh.a, mesh.h][:mesh.n_steps + 1], states)
-    return (ScenarioResult(config, trajectory, compute_metrics(trajectory, config.schedule)),
-            None if source < 0 else (source, size))
-
-
 def _results(configs: list[ScenarioConfig], half: int = 0
              ) -> Iterator[tuple[ScenarioResult, tuple[int, int] | None]]:
-    """``_run_sharing_prefixes(configs)``, with ``configs[half:]`` marched in a forked child
-    where a second process pays (with a ``half``, from ``_FORK_MIN_STEPS`` steps in them) and
-    the pipe and fork are granted, while this process marches ``configs[:half]``.  The child
-    sends each trajectory's rows, or the exception it raised, through a pipe; it is raised
-    here in its turn, before any result of the child's configs with a ``half``.  Metrics are
-    computed here.  An error here, or closing the generator, stops and reaps the child."""
+    """``run(config)`` for each config in turn, with what :func:`_march` copied.  Where a
+    second process pays (with a ``half``, from ``_FORK_MIN_STEPS`` steps in them) and the pipe
+    and fork are granted, a forked child marches ``configs[half:]`` and sends only their rows,
+    while this process marches ``configs[:half]``; else this process marches them all.  If the
+    pipe ends before config i, ``configs[i:]`` are marched here one by one, with the same bits,
+    so the first error raised is the in-process one; with none, a ChildProcessError names
+    config i.  An error here, or closing the generator, stops and reaps the child."""
     import fcntl
     shared_times = _shared_times(configs)  # a mesh too long to hold fails before the fork
     fds, pid = (), None
@@ -426,50 +404,55 @@ def _results(configs: list[ScenarioConfig], half: int = 0
         if pid is None:  # no child: this process marches every config
             for fd in fds:
                 os.close(fd)
-    if pid is None:
-        yield from _run_sharing_prefixes(configs, shared_times)
-        return
+            fds, half = (), len(configs)
     if pid == 0:  # the child never returns into the caller and writes nothing to fds 1 and 2
-        status = 1
+        status = 1  # any exception ends the child with this status
         try:
             os.close(r)
             with open(w, "wb") as pipe:
-                marched = _march(configs[half:])
-                try:
-                    # while the parent marches a half of its own, the child marches all of
-                    # its configs before it writes: one that streamed would block on the
-                    # full pipe until the parent came to read, and the halves would take turns
-                    for trajectory, copied in (list(marched) if half else marched):
-                        pipe.write(_FRAME.pack(*(copied or (-1, 0))))
-                        pipe.write(trajectory.states.data)
-                        pipe.flush()
-                except Exception as err:
-                    import pickle
-                    payload = pickle.dumps(err)
-                    pipe.write(_FRAME.pack(-2, len(payload)) + payload)
+                marched = _march(configs[half:], shared_times)
+                # while the parent marches a half of its own, the child marches all of
+                # its configs before it writes: one that streamed would block on the
+                # full pipe until the parent came to read, and the halves would take turns
+                for trajectory, _ in (list(marched) if half else marched):
+                    pipe.write(trajectory.states.data)
+                    pipe.flush()
             status = 0
         finally:
             os._exit(status)
-    os.close(w)
+    if fds:
+        os.close(w)
+    marched = _march(configs[:half], shared_times)
+    copies = [(half + j, steps) if steps else None for steps, j in _sources(configs[half:])[1]]
     try:
-        if half:  # else this process marches nothing
-            yield from _run_sharing_prefixes(configs[:half], shared_times)
-        for config in configs[half:]:
-            result, copied = _received(r, config, shared_times)
-            yield result, copied and (half + copied[0], copied[1])
-    except EOFError:
+        for i, config in enumerate(configs):
+            if i < half:
+                trajectory, copied = next(marched)
+            else:
+                mesh = config.mesh
+                states = _allocated(mesh, lambda: np.empty((mesh.n_steps + 1, 3)))
+                _read_into(r, states)
+                trajectory = Trajectory(shared_times[mesh.a, mesh.h][:mesh.n_steps + 1], states)
+                copied = copies[i - half]
+            yield (ScenarioResult(config, trajectory, compute_metrics(trajectory, config.schedule)),
+                   copied)
+        return
+    except EOFError:  # the child ended before config i
         code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
         pid = None
-        raise ChildProcessError(
-            f"the march ended before scenario {config.label!r}: its process "
-            + (f"was killed by signal {-code}" if code < 0 else f"exited with code {code}")
-        ) from None
     finally:
-        os.close(r)
-        if pid is not None:  # every frame is read, or this process stopped early
+        if fds:
+            os.close(r)
+        if pid is not None:  # every config is read, or this process stopped early
             import signal
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+    for config in configs[i:]:  # the march is deterministic: an error the child met recurs here
+        mesh = config.mesh
+        _integrate(config, _rate_runs(config), shared_times[mesh.a, mesh.h][:mesh.n_steps + 1])
+    raise ChildProcessError(
+        f"the march ended before scenario {configs[i].label!r}: its process "
+        + (f"was killed by signal {-code}" if code < 0 else f"exited with code {code}"))
 
 
 @dataclass(frozen=True)

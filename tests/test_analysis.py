@@ -69,6 +69,13 @@ def test_subthreshold_infection_omits_infected_point():
     assert [e.kind for e in eqs] == [EquilibriumKind.UNINFECTED]
 
 
+def test_an_underflowing_m1_m2_makes_the_infected_point_overflow():
+    # m1*m2 rounds to 0: the infected V is infinite, not a division by zero
+    with pytest.raises(ValueError, match="^the parameters overflow the infected equilibrium: "
+                                         "state component V must be finite$"):
+        equilibria(ModelParams(m1=5e-324), 0.0, 0.0, ModelKind.BASIC)
+
+
 @pytest.mark.parametrize("kind,u1,u2", [
     (ModelKind.BASIC, 0.0, 0.0),
     (ModelKind.TWO_CONTROL, 0.2, 0.1),

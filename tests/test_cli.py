@@ -506,6 +506,17 @@ def test_parameters_that_overflow_an_equilibrium_exit_two_naming_it(tmp_path, ca
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["analyze", "linearize"])
+def test_rates_whose_product_underflows_exit_two_naming_the_point(tmp_path, capsys, command):
+    # m1*m2 rounds to 0, so the infected V, k*s/(m1*m2) - d/beta, is infinite
+    assert main([command, "--param=m1=5e-324", f"--out={tmp_path / 'out'}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("error: the parameters overflow the infected equilibrium: "
+                            "state component V must be finite\n")
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_trajectory_too_large_to_allocate_exits_two_and_writes_nothing(tmp_path):
     resource = pytest.importorskip("resource")
 

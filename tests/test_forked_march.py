@@ -30,7 +30,7 @@ from viradyn.errors import (
     NonFiniteStateError,
     NumericalError,
 )
-from viradyn.scenario import _march, _run_sharing_prefixes
+from viradyn.scenario import _march, _results
 
 from test_kernel import assert_one_read_only_times_array_per_start_and_step
 
@@ -78,7 +78,7 @@ def test_forked_march_streams_the_in_process_results_then_the_same_error(monkeyp
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})  # a fork pays
     configs = [CLEAN, SHARER, BLOWUP]
     forked, forked_err = drain(scenario._results(configs))
-    alone, alone_err = drain(_run_sharing_prefixes(configs))
+    alone, alone_err = drain(_results(configs, len(configs)))
     assert_no_child_left()
     assert [copied for _, copied in forked] == [copied for _, copied in alone] == [None, (0, 200)]
     for (f, _), (a, _) in zip(forked, alone):
@@ -166,8 +166,8 @@ def test_a_child_that_dies_without_an_error_frame_gives_a_labelled_error(
         tmp_path, capsys, monkeypatch, end, how):
     test_pid = os.getpid()
 
-    def first_then_die(configs):
-        results = _march(configs)
+    def first_then_die(configs, *shared_times):
+        results = _march(configs, *shared_times)
         yield next(results)
         assert os.getpid() != test_pid, "the march ran in the test's own process"
         end()

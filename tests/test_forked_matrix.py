@@ -1,7 +1,8 @@
 """`run_matrix` marches the second half of its levels in a forked child where a
 second process pays: the results and errors equal those of the in-process march,
-the child computes no metrics, and no child outlives a call.  Where the system
-refuses the pipe or the fork, `run_matrix` and `reproduce` march in-process."""
+the child computes no metrics, and no child outlives a call.  An error in the child
+reaches the caller as in-process, also one that pickle cannot rebuild.  Where the
+system refuses the pipe or the fork, `run_matrix` and `reproduce` march in-process."""
 
 import errno
 import os
@@ -19,11 +20,12 @@ from viradyn import (
     ModelKind,
     ModelParams,
     ScenarioConfig,
+    reference_scenarios,
     run_matrix,
 )
 from viradyn import scenario
 from viradyn.cli import main
-from viradyn.errors import IntegrationBlowupError
+from viradyn.errors import IntegrationBlowupError, NumericalError
 
 from test_kernel import assert_one_read_only_times_array_per_start_and_step
 
@@ -99,7 +101,7 @@ def test_a_forked_half_reports_what_it_copied_by_index_in_all_configs(monkeypatc
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})  # a fork pays
     configs = [replace(BASE, schedule=BASE.schedule.with_efficacies(*u)) for u in LEVELS[:4]]
     forked = list(scenario._results(configs, 2))
-    alone = list(scenario._run_sharing_prefixes(configs))
+    alone = list(scenario._results(configs, len(configs)))
     assert_no_child_left()
     assert_same_results([r for r, _ in forked], [r for r, _ in alone])
     # the child's first config marches, as it has no earlier config to copy from
@@ -124,6 +126,41 @@ def test_a_blowup_in_either_half_raises_the_in_process_error(monkeypatch, levels
     assert str(forked.value) == str(alone.value)
     assert vars(forked.value) == vars(alone.value) == {"t": 7.0, "stage": 1, "step": 7,
                                                        "label": label}
+
+
+class TwoArgumentError(NumericalError):
+    """An error that pickle cannot rebuild: its constructor takes two arguments, and no
+    ``__reduce__`` says which."""
+
+    def __init__(self, label, step):
+        self.label, self.step = label, step
+        super().__init__(f"failed at step {step} of {label!r}")
+
+
+@pytest.mark.parametrize("call, label", [
+    (lambda: list(scenario._results(reference_scenarios())), "two-control-u0.3"),
+    (lambda: run_matrix(BASE, LEVELS), "base[4:u1=0.7,u2=0.1]"),  # the child marches 3 and 4
+], ids=["streaming-reproduce-suite", "second-level-of-the-child-s-half"])
+def test_any_error_in_the_child_reaches_the_caller_as_in_process(monkeypatch, call, label):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})  # a fork pays
+    integrate = scenario._integrate
+
+    def failing(config, *args):
+        if config.label == label:
+            raise TwoArgumentError(label, 3)
+        return integrate(config, *args)
+
+    monkeypatch.setattr(scenario, "_integrate", failing)  # the child inherits it
+    calls = counted_forks(monkeypatch)
+    with pytest.raises(TwoArgumentError) as forked:
+        call()
+    assert len(calls) == 1
+    assert_no_child_left()
+    with pytest.raises(TwoArgumentError) as alone:
+        in_process(monkeypatch, call)
+    assert type(forked.value) is type(alone.value)
+    assert str(forked.value) == str(alone.value)
+    assert vars(forked.value) == vars(alone.value) == {"label": label, "step": 3}
 
 
 @two_cpus

@@ -31,7 +31,7 @@ from viradyn import (
 )
 from viradyn.cli import main
 from viradyn.errors import IntegrationBlowupError
-from viradyn.scenario import _run_sharing_prefixes
+from viradyn.scenario import _results
 
 PARAMS = ModelParams()
 
@@ -314,12 +314,12 @@ def _two_control(t_end, *windows, initial=DEFAULT_INITIAL):
 @example(configs=[_two_control(400.0),
                   _two_control(400.0, initial=SystemState(1200.0, -0.0, 100.0))])
 def test_shared_prefixes_equal_standalone_runs(configs):
-    assert_equals_standalone_runs(configs, (r for r, _ in _run_sharing_prefixes(configs)))
+    assert_equals_standalone_runs(configs, (r for r, _ in _results(configs, len(configs))))
 
 
 def test_reference_suite_with_shared_prefixes_equals_standalone_runs():
     configs = reference_scenarios()
-    assert_equals_standalone_runs(configs, (r for r, _ in _run_sharing_prefixes(configs)))
+    assert_equals_standalone_runs(configs, (r for r, _ in _results(configs, len(configs))))
 
 
 @pytest.mark.parametrize("kind", list(ModelKind))
@@ -369,9 +369,10 @@ def test_trajectories_on_a_mesh_of_ints_view_the_shared_times():
 
 def test_reference_suite_shares_one_times_array_per_start_and_step():
     # the 400-day and 600-day meshes start at 0 with step 0.1: one array, the 600-day one
-    results = [r for r, _ in _run_sharing_prefixes(reference_scenarios())]
+    configs = reference_scenarios()
+    results = [r for r, _ in _results(configs, len(configs))]
     assert len(results) == 14
     assert len(assert_one_read_only_times_array_per_start_and_step(results)) == 1
-    coarse = [r for r, _ in _run_sharing_prefixes(reference_scenarios(h=0.5)
-                                                  + reference_scenarios())]
+    configs = reference_scenarios(h=0.5) + reference_scenarios()
+    coarse = [r for r, _ in _results(configs, len(configs))]
     assert len(assert_one_read_only_times_array_per_start_and_step(coarse)) == 2
