@@ -171,8 +171,8 @@ _FLAGS = {
 }
 # the flags reproduce takes; of --config, the last, it reads only the params
 _REPRODUCE_FLAGS = ("--param", "--h", "--out", "--config")
-# a "-" and more, but not a number such as -1e2 or -.5, nor text holding a space
-_looks_like_flag = re.compile(r"-(?!\.?\d)[^ ]+\Z").match
+# a "-" and more, but not a number such as -1e2, -.5, -inf or -NaN, nor text holding a space
+_looks_like_flag = re.compile(r"-(?!\.?\d|(?i:inf|nan))[^ ]+\Z").match
 
 
 def _help() -> str:

@@ -366,33 +366,25 @@ _FORK_MIN_STEPS = 8_000
 _FORK_LOCK = threading.Lock()
 
 
-def _read_into(fd: int, buffer) -> None:
-    """Fill ``buffer`` from the pipe ``fd``; EOFError when the pipe ends first."""
-    view = memoryview(buffer).cast("B")
-    while view:
-        n = os.readv(fd, [view])
-        if not n:
-            raise EOFError
-        view = view[n:]
-
-
 def _results(configs: list[ScenarioConfig], half: int = 0
              ) -> Iterator[tuple[ScenarioResult, tuple[int, int] | None]]:
     """``run(config)`` for each config in turn, with what :func:`_march` copied.  Where a
     second process pays (with a ``half``, from ``_FORK_MIN_STEPS`` steps in them) and the pipe
     and fork are granted, a forked child marches ``configs[half:]`` and sends only their rows,
-    while this process marches ``configs[:half]``; else this process marches them all.  If the
-    pipe ends before config i, ``configs[i:]`` are marched here one by one, with the same bits,
-    so the first error raised is the in-process one; with none, a ChildProcessError names
-    config i.  An error here, or closing the generator, stops and reaps the child."""
+    while this process marches ``configs[:half]``.  The child only saves time: this process
+    marches every config from the first whose rows it did not receive, so with no child it
+    marches them all.  The march is deterministic, so an error the child met recurs here as the
+    in-process one, and a child that ended early changes no bit.  The child is killed and
+    reaped once its rows end, on an error here, or when the generator is closed."""
     import fcntl
+    import signal
     shared_times = _shared_times(configs)  # a mesh too long to hold fails before the fork
-    fds, pid = (), None
+    pipe, pid, i = (), None, 0
     try:
         with contextlib.suppress(OSError):  # no descriptor, process or memory to spare
             if _second_process() and (not half or sum(
                     c.mesh.n_steps for c in configs[half:]) >= _FORK_MIN_STEPS):
-                fds = r, w = os.pipe()
+                pipe = r, w = [open(fd, mode) for fd, mode in zip(os.pipe(), ("rb", "wb"))]
                 with contextlib.suppress(OSError):  # a larger pipe lets the march run ahead
                     fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, 1 << 20)  # Linux's limit for a user
                 # The child calls no BLAS routine (src/ has no numpy.linalg), so the OpenBLAS
@@ -400,59 +392,47 @@ def _results(configs: list[ScenarioConfig], half: int = 0
                 with _FORK_LOCK, warnings.catch_warnings():
                     warnings.filterwarnings("ignore", "This process", DeprecationWarning)
                     pid = os.fork()
-    finally:
-        if pid is None:  # no child: this process marches every config
-            for fd in fds:
-                os.close(fd)
-            fds, half = (), len(configs)
-    if pid == 0:  # the child never returns into the caller and writes nothing to fds 1 and 2
-        status = 1  # any exception ends the child with this status
-        try:
-            os.close(r)
-            with open(w, "wb") as pipe:
+        if pid == 0:  # the child never returns into the caller and writes nothing to fds 1 and 2
+            try:
+                r.close()
                 marched = _march(configs[half:], shared_times)
                 # while the parent marches a half of its own, the child marches all of
                 # its configs before it writes: one that streamed would block on the
                 # full pipe until the parent came to read, and the halves would take turns
                 for trajectory, _ in (list(marched) if half else marched):
-                    pipe.write(trajectory.states.data)
-                    pipe.flush()
-            status = 0
-        finally:
-            os._exit(status)
-    if fds:
-        os.close(w)
-    marched = _march(configs[:half], shared_times)
-    copies = [(half + j, steps) if steps else None for steps, j in _sources(configs[half:])[1]]
-    try:
-        for i, config in enumerate(configs):
-            if i < half:
-                trajectory, copied = next(marched)
+                    w.write(trajectory.states.data)
+                    w.flush()
+            finally:
+                os._exit(0)
+        if pid:
+            w.close()
+            marched = _march(configs[:half], shared_times)
+            copies = [(half + j, steps) if steps else None
+                      for steps, j in _sources(configs[half:])[1]]
+            for i, config in enumerate(configs):
+                if i < half:
+                    trajectory, copied = next(marched)
+                else:
+                    mesh = config.mesh
+                    states = _allocated(mesh, lambda: np.empty((mesh.n_steps + 1, 3)))
+                    if r.readinto(states) < states.nbytes:  # the child ended before config i
+                        break
+                    trajectory = Trajectory(shared_times[mesh.a, mesh.h][:mesh.n_steps + 1],
+                                            states)
+                    copied = copies[i - half]
+                yield (ScenarioResult(config, trajectory,
+                                      compute_metrics(trajectory, config.schedule)), copied)
             else:
-                mesh = config.mesh
-                states = _allocated(mesh, lambda: np.empty((mesh.n_steps + 1, 3)))
-                _read_into(r, states)
-                trajectory = Trajectory(shared_times[mesh.a, mesh.h][:mesh.n_steps + 1], states)
-                copied = copies[i - half]
-            yield (ScenarioResult(config, trajectory, compute_metrics(trajectory, config.schedule)),
-                   copied)
-        return
-    except EOFError:  # the child ended before config i
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        pid = None
+                return
     finally:
-        if fds:
-            os.close(r)
-        if pid is not None:  # every config is read, or this process stopped early
-            import signal
+        for end in pipe:
+            end.close()
+        if pid:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    for config in configs[i:]:  # the march is deterministic: an error the child met recurs here
-        mesh = config.mesh
-        _integrate(config, _rate_runs(config), shared_times[mesh.a, mesh.h][:mesh.n_steps + 1])
-    raise ChildProcessError(
-        f"the march ended before scenario {configs[i].label!r}: its process "
-        + (f"was killed by signal {-code}" if code < 0 else f"exited with code {code}"))
+    for config, (trajectory, copied) in zip(configs[i:], _march(configs[i:], shared_times)):
+        yield (ScenarioResult(config, trajectory, compute_metrics(trajectory, config.schedule)),
+               copied and (i + copied[0], copied[1]))
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,12 @@ with every flag of ``cli._FLAGS`` drawn but ``--config`` (``--out`` is always th
 example's own path), and values that include NaN, infinities, the smallest subnormal,
 1e300, -0.0, negatives and coarse steps.  Each
 command exits 0, 2 or 3; a failure prints one labelled line and writes no file; the
-flags render back to the config they parse to; and no ``simulate`` CSV entry lies
-below the population floor.  Examples whose mesh holds more than 20,000 steps are
-rejected, so an example costs at most that many steps."""
+flags render back to the config they parse to; and each flag given as ``--flag value``
+or as ``--flag=value`` gives the same exit code and stderr.  On exit 0, a ``simulate``
+CSV holds the mesh at 9 digits and no entry below the population floor, its metrics
+file holds the metric keys with the final row's values and a peak that is a row's, and
+a ``linearize`` report holds its five keys.  Examples whose mesh holds more than 20,000
+steps are rejected, so an example costs at most that many steps."""
 
 import contextlib
 import io
@@ -18,10 +21,21 @@ import numpy as np
 from hypothesis import assume, example, given, settings, strategies as st
 
 from viradyn import ModelKind
-from viradyn.cli import _FLAGS, _PARAM_NAMES, UsageError, main, parse_args
+from viradyn.cli import (
+    _FLAGS,
+    _METRIC_KEYS,
+    _PARAM_NAMES,
+    UsageError,
+    main,
+    metrics_path_for,
+    parse_args,
+    resolve_scenario,
+)
 from viradyn.integrator import NEGATIVE_FLOOR
 
 MAX_STEPS = 20_000
+REPORT_KEYS = ["perturbation", "max_discrepancy_T", "max_discrepancy_Tstar", "max_discrepancy_V",
+               "max_discrepancy"]
 
 SPECIAL = [math.nan, math.inf, -math.inf, 5e-324, 1e300, -1e300, -0.0, 0.0, -1.0, -150.0]
 
@@ -82,11 +96,33 @@ def mesh_steps(cfg) -> float:
         return float(np.float64(b - a) / h)
 
 
+def with_equals(argv):
+    """``argv`` with each ``--flag value`` pair written ``--flag=value``."""
+    joined, args = [], iter(argv)
+    for arg in args:
+        joined.append(f"{arg}={next(args)}" if arg in FLAG_VALUES else arg)
+    return joined
+
+
+def run_main(argv, out):
+    """The exit code and stderr of ``main([*argv, --out=out])``."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        rc = main([*argv, f"--out={out}"])
+    return rc, stderr.getvalue()
+
+
 @settings(max_examples=200, deadline=None)
 @given(argv=commands())
 # m1*m2 underflows to 0, which once divided by zero in equilibria
 @example(argv=["analyze", "--param", "m1=5e-324"])
 @example(argv=["linearize", "--param=m1=5e-324"])
+# -inf after a space was once read as a flag, so it gave another message than --t0=-inf
+@example(argv=["analyze", "--t0", "-inf"])
+# mesh times of 12 significant digits, so the CSV's t column shows its rounding
+@example(argv=["simulate", "--model", "two-control", "--t0", "0.123456789012", "--t1",
+               "50.123456789012", "--h", "0.5", "--treat", "10.123456789012:20.123456789012:0.5"])
+@example(argv=["linearize", "--t1=50"])
 def test_generated_commands_keep_the_cli_contract(argv):
     try:
         cfg = parse_args(argv)
@@ -99,16 +135,26 @@ def test_generated_commands_keep_the_cli_contract(argv):
         assert repr(again) == repr(cfg)  # field by field and bit for bit, NaN included
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out.csv"
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            rc = main([*argv, f"--out={out}"])
-        assert rc in (0, 2, 3), (rc, stderr.getvalue())
-        err = stderr.getvalue()
+        rc, err = run_main(argv, out)
+        assert rc in (0, 2, 3), (rc, err)
         if rc:
             assert cfg is not None or rc == 2
             assert err.count("\n") == 1 and err.endswith("\n"), err
             assert err.startswith("error: " if rc == 2 else "numerical failure: "), err
             assert os.listdir(tmp) == []
         elif cfg.command == "simulate":
-            rows = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
-            assert rows[:, 1:].min() >= NEGATIVE_FLOOR
+            header, *lines = out.read_text().splitlines()
+            mesh = resolve_scenario(cfg).mesh
+            assert header == "t,T,Tstar,V" and len(lines) == mesh.n_steps + 1
+            rows = [line.split(",") for line in lines]
+            assert [row[0] for row in rows] == [f"{t:.9g}" for t in mesh.times().tolist()]
+            assert np.array(rows, dtype=float)[:, 1:].min() >= NEGATIVE_FLOOR
+            metrics = [line.split("=") for line in metrics_path_for(out).read_text().splitlines()]
+            assert [key for key, _ in metrics] == list(_METRIC_KEYS)
+            values = dict(metrics)
+            assert [values[key] for key in _METRIC_KEYS[:3]] == rows[-1][1:]
+            assert values["peak_viral_load"] in {row[3] for row in rows}
+        elif cfg.command == "linearize":
+            report = out.with_suffix(".report.txt").read_text().splitlines()
+            assert [line.partition("=")[0] for line in report] == REPORT_KEYS
+        assert run_main(with_equals(argv), out) == (rc, err)

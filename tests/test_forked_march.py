@@ -158,25 +158,39 @@ def test_a_directory_at_the_fifth_csv_exits_two_at_once_and_keeps_the_earlier_fi
         + ["two-control-u0.csv"])
 
 
-@pytest.mark.parametrize("end, how", [
-    (lambda: os._exit(5), "exited with code 5"),
-    (lambda: os.kill(os.getpid(), signal.SIGKILL), "was killed by signal 9"),
+@pytest.mark.parametrize("end", [
+    lambda: os._exit(5),
+    lambda: os.kill(os.getpid(), signal.SIGKILL),
 ], ids=["exit", "signal"])
-def test_a_child_that_dies_without_an_error_frame_gives_a_labelled_error(
-        tmp_path, capsys, monkeypatch, end, how):
-    test_pid = os.getpid()
+def test_a_child_that_dies_early_leaves_the_rest_to_this_process(
+        tmp_path, capsys, monkeypatch, end):
+    test_pid, marched_here = os.getpid(), []
 
     def first_then_die(configs, *shared_times):
         results = _march(configs, *shared_times)
+        if os.getpid() == test_pid:
+            marched_here.append([config.label for config in configs])
+            yield from results
+            return
         yield next(results)
-        assert os.getpid() != test_pid, "the march ran in the test's own process"
         end()
 
+    alone = tmp_path / "alone"
+    with monkeypatch.context() as m:
+        m.delattr(os, "fork")
+        assert main(["reproduce", f"--out={alone}"]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})  # a fork pays
     monkeypatch.setattr(scenario, "_march", first_then_die)  # the child inherits it
-    assert main(["reproduce", f"--out={tmp_path / 'r'}"]) == 2
-    assert capsys.readouterr().err == (f"error: the march ended before scenario "
-                                       f"'basic-T0-800': its process {how}\n")
+    assert main(["reproduce", f"--out={tmp_path / 'r'}"]) == 0
+    assert capsys.readouterr().err == ""
     assert_no_child_left()
+    # the child sent the first scenario only, and this process marched the other 13
+    labels = [config.label for config in viradyn.reference_scenarios()]
+    assert marched_here == [labels[1:]]
+    files = {p.name: p.read_bytes() for p in (tmp_path / "r").iterdir()}
+    assert len(files) == 29
+    assert files == {p.name: p.read_bytes() for p in alone.iterdir()}
 
 
 def test_the_in_process_march_writes_the_bytes_of_the_forked_one(tmp_path, monkeypatch):

@@ -1,8 +1,9 @@
 """`run_matrix` marches the second half of its levels in a forked child where a
 second process pays: the results and errors equal those of the in-process march,
-the child computes no metrics, and no child outlives a call.  An error in the child
-reaches the caller as in-process, also one that pickle cannot rebuild.  Where the
-system refuses the pipe or the fork, `run_matrix` and `reproduce` march in-process."""
+the child computes no metrics, a child that dies early changes no result, and no
+child outlives a call.  An error in the child reaches the caller as in-process,
+also one that pickle cannot rebuild.  Where the system refuses the pipe or the
+fork, `run_matrix` and `reproduce` march in-process."""
 
 import errno
 import os
@@ -165,20 +166,55 @@ def test_any_error_in_the_child_reaches_the_caller_as_in_process(monkeypatch, ca
 
 @two_cpus
 def test_the_child_computes_no_metrics(tmp_path, monkeypatch):
-    test_pid, compute_metrics = os.getpid(), scenario.compute_metrics
+    test_pid, integrated_here = os.getpid(), []
+    compute_metrics, integrate = scenario.compute_metrics, scenario._integrate
 
     def here_only(trajectory, schedule):
         if os.getpid() != test_pid:
             raise RuntimeError("compute_metrics ran in a child")
         return compute_metrics(trajectory, schedule)
 
+    def recorded(config, *args):
+        if os.getpid() == test_pid:
+            integrated_here.append(config.label)
+        return integrate(config, *args)
+
     monkeypatch.setattr(scenario, "compute_metrics", here_only)  # the child inherits it
+    monkeypatch.setattr(scenario, "_integrate", recorded)
     calls = counted_forks(monkeypatch)
     assert main(["reproduce", f"--out={tmp_path / 'r'}"]) == 0
     assert len(list((tmp_path / "r").iterdir())) == 29
-    assert len(run_matrix(BASE, LEVELS)) == len(LEVELS)
+    # this process would march whatever the child did not send: the child sent it all
+    assert integrated_here == []
+    results = run_matrix(BASE, LEVELS)
+    assert len(results) == len(LEVELS)
+    assert integrated_here == [result.config.label for result in results[:3]]
     assert len(calls) == 2
     assert_no_child_left()
+
+
+def test_a_child_dying_after_its_first_level_changes_no_result(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})  # a fork pays
+    test_pid, march, marched_here = os.getpid(), scenario._march, []
+
+    def first_then_die(configs, *shared_times):
+        results = march(configs, *shared_times)
+        if os.getpid() == test_pid:
+            marched_here.append([config.label for config in configs])
+            yield from results
+            return
+        yield next(results)
+        os._exit(5)
+
+    monkeypatch.setattr(scenario, "_march", first_then_die)  # the child inherits it
+    calls = counted_forks(monkeypatch)
+    forked = run_matrix(BASE, LEVELS)
+    assert len(calls) == 1
+    assert_no_child_left()
+    labels = [result.config.label for result in forked]
+    # this process marched its own half, then the child's whole half, which was never sent
+    assert marched_here == [labels[:3], labels[3:]]
+    assert_same_results(forked, in_process(monkeypatch, lambda: run_matrix(BASE, LEVELS)))
 
 
 def test_one_cpu_marches_in_process_with_the_same_outputs(tmp_path, monkeypatch):
